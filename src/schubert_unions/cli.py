@@ -173,18 +173,22 @@ def cmd_genmatrix(args, out, binary_out):
 def _parse_r_range(text, k):
     if text is None:
         return range(1, k + 1)
-    if ":" in text:
-        a, b = text.split(":")
-        return range(int(a), int(b) + 1)
-    return [int(text)]
+    a, sep, b = text.partition(":")
+    wanted = range(int(a), int(b if sep else a) + 1)
+    if not wanted or wanted[0] < 1 or wanted[-1] > k:
+        raise ValueError(f"--r-range {text} is not a range inside 1..{k}")
+    return wanted
 
 
 def cmd_weights(args, out):
     params = GrassParams(args.l, args.m)
+    # building the field refuses a q that is not a supported prime power
+    field = gf.Field(args.q) if args.q is not None else None
     if args.union:
-        field = gf.Field(args.q or 2)
+        if args.oracle:
+            raise ValueError("--oracle does not apply to --union")
         u = _parse_union(params, args.union)
-        result = weights.union_code_params(u, field, args.guard)
+        result = weights.union_code_params(u, field or gf.Field(2), args.guard)
         rows = [(rec.r,
                  rec.value if rec.value is not None else "-",
                  rec.lower if rec.value is None else "-",
@@ -201,13 +205,13 @@ def cmd_weights(args, out):
                         rows, args.format, out)
         return 0
     q = args.q
+    wanted = _parse_r_range(args.r_range, params.k)
     records = weights.weight_table(params, q, args.guard)
-    wanted = set(_parse_r_range(args.r_range, params.k))
     records = [rec for rec in records if rec.r in wanted]
     if args.oracle:
-        if q is None:
+        if field is None:
             raise ValueError("--oracle needs --q")
-        field = gf.Field(q)
+        weights.check_oracle_budget(params.k, q, wanted, args.oracle_budget)
         genmat = pluecker.generator_matrix(field, params, None, args.point_guard)
         records = [
             weights.WeightRecord(rec.r,
@@ -232,20 +236,6 @@ def cmd_weights(args, out):
 # experiments
 
 
-def _optimal_spans(params, guard):
-    """span -> set of unions attaining the lex-max point count."""
-    best = {}
-    for u in enumerate_ideals(params, guard):
-        K = u.span()
-        g = u.point_count()
-        have = best.get(K)
-        if have is None or g > have[0]:
-            best[K] = (g, {u})
-        elif g == have[0]:
-            have[1].add(u)
-    return best
-
-
 def experiment_q3(params):
     table = weights.delta_table(params)
     if any(rec.value is None for rec in table):
@@ -260,7 +250,7 @@ def experiment_q3(params):
 
 
 def experiment_q8(params, guard):
-    best = _optimal_spans(params, guard)
+    best = optimizer.optimal_unions(params, guard)
     witnesses = []
     for K in sorted(best):
         for u in best[K][1]:
@@ -288,6 +278,7 @@ def experiment_q9(params, guard):
 def experiment_q4(params, q, budget, point_guard):
     """For each r: does a dual of some maximizing section attain H_{k-r}?"""
     field = gf.Field(q)
+    weights.check_oracle_budget(params.k, q, range(1, params.k), budget)
     genmat = pluecker.generator_matrix(field, params, None, point_guard)
     k, n = genmat.k, genmat.n
     dual_points = [vec for _a, vec in
@@ -295,9 +286,6 @@ def experiment_q4(params, q, budget, point_guard):
     h = {}
     argmax = {}
     for r in range(1, k):
-        count = weights.gaussian_binomial(k, r, q)
-        if count > budget:
-            raise BudgetExceeded(f"sweep needs {count} subspaces")
         best, rows = _max_annihilated_with_witness(field, genmat, r)
         h[r] = best
         argmax[r] = rows
@@ -316,36 +304,8 @@ def experiment_q4(params, q, budget, point_guard):
 
 
 def _max_annihilated_with_witness(field, genmat, r):
-    """Like the oracle sweep but also returns one maximizing functional basis."""
-    import itertools as it
-    cache = weights._MaskCache(field, genmat.columns)
-    k = genmat.k
-    best, witness = -1, None
-    for pivots in it.combinations(range(k), r):
-        pivot_set = set(pivots)
-        free_cols = [[j for j in range(pivots[i] + 1, k) if j not in pivot_set]
-                     for i in range(r)]
-        stack = []
-
-        def rec(i, acc):
-            nonlocal best, witness
-            if acc.bit_count() <= best:
-                return
-            if i == r:
-                best = acc.bit_count()
-                witness = [tuple(row) for row in stack]
-                return
-            for values in it.product(field.elements(), repeat=len(free_cols[i])):
-                row = [0] * k
-                row[pivots[i]] = 1
-                for j, v in zip(free_cols[i], values):
-                    row[j] = v
-                stack.append(row)
-                rec(i + 1, acc & cache.mask(tuple(row)))
-                stack.pop()
-
-        rec(0, (1 << genmat.n) - 1)
-    return best, witness
+    """(H_r, a maximizing basis of functionals) for the full code's matrix."""
+    return weights._max_annihilated(field, genmat.columns, genmat.k, r)
 
 
 def cmd_experiment(args, out):
@@ -431,8 +391,11 @@ def build_parser():
 def _resolve_defaults(args):
     config = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            config = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read config {args.config}: {exc.strerror}") from exc
     if args.guard is None:
         args.guard = int(config.get("guard",
                                     os.environ.get(GUARD_ENV, DEFAULT_IDEAL_GUARD)))
@@ -444,6 +407,9 @@ def _resolve_defaults(args):
                                           pluecker.DEFAULT_POINT_GUARD))
     if "format" in config and args.format == "markdown":
         args.format = config["format"]
+    for name in ("guard", "oracle_budget", "point_guard"):
+        if getattr(args, name, 0) < 0:
+            raise ValueError(f"{name} must be >= 0, got {getattr(args, name)}")
 
 
 HANDLERS = {

@@ -12,6 +12,8 @@ polynomials and to drive the brute-force weight oracle.
 
 from __future__ import annotations
 
+import itertools
+
 # modulus digits, lowest degree first
 DEFAULT_MODULI = {
     4: (1, 1, 1),
@@ -58,7 +60,6 @@ def _is_irreducible(modulus, p):
     if e <= 3:
         return True
     # trial division by monic polynomials of degree 2..e//2
-    import itertools
     for d in range(2, e // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
             div = tuple(tail) + (1,)
@@ -101,6 +102,10 @@ class Field:
             if len(modulus) != e + 1 or not _is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is not irreducible of degree {e}")
             self.modulus = modulus
+        digits = [self._digits(a) for a in range(q)]
+        self._add = [[self._undigits([(x + y) % p for x, y in zip(da, db)])
+                      for db in digits] for da in digits]
+        self._neg = [self._undigits([-x % p for x in da]) for da in digits]
         self._mul = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
         inv = [0] * q
         for a in range(1, q):
@@ -133,15 +138,10 @@ class Field:
         return range(self.q)
 
     def add(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
-        return self._undigits(tuple((x + y) % self.p
-                                    for x, y in zip(self._digits(a), self._digits(b))))
+        return self._add[a][b]
 
     def neg(self, a):
-        if self.e == 1:
-            return (-a) % self.p
-        return self._undigits(tuple((-x) % self.p for x in self._digits(a)))
+        return self._neg[a]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -158,7 +158,7 @@ class Field:
         acc = 0
         for x, y in zip(u, v):
             if x and y:
-                acc = self.add(acc, self._mul[x][y])
+                acc = self._add[acc][self._mul[x][y]]
         return acc
 
     def __repr__(self):

@@ -310,25 +310,22 @@ def canonicalize(params, points, check=True):
     return u
 
 
-def enumerate_ideals(params, guard=DEFAULT_IDEAL_GUARD):
-    """Yield every Schubert union of G(l,m) exactly once, canonically.
+def down_sets(points):
+    """Yield every downward-closed subset of `points`, as a frozenset.
 
-    Walks the grid in lexicographic order (a linear extension) and extends
-    partial ideals column by column, so the work is linear in the output
-    count; no power-set filtering.
+    `points` must be sorted lexicographically, a linear extension of the
+    componentwise order.  Partial down-sets are extended point by point, so
+    the work is linear in the output count; no power-set filtering.
     """
-    grid = full_grid(params)
-    n = len(grid)
-    if n > guard:
-        raise TooLarge(f"grid has {n} points, guard is {guard}")
+    n = len(points)
     below = []
-    for i, a in enumerate(grid):
-        below.append([j for j in range(i) if point_leq(grid[j], a)])
+    for i, a in enumerate(points):
+        below.append([j for j in range(i) if point_leq(points[j], a)])
     chosen = set()
 
     def rec(i):
         if i == n:
-            yield canonicalize(params, {grid[j] for j in chosen}, check=False)
+            yield frozenset(points[j] for j in chosen)
             return
         yield from rec(i + 1)
         if all(j in chosen for j in below[i]):
@@ -337,6 +334,15 @@ def enumerate_ideals(params, guard=DEFAULT_IDEAL_GUARD):
             chosen.remove(i)
 
     yield from rec(0)
+
+
+def enumerate_ideals(params, guard=DEFAULT_IDEAL_GUARD):
+    """Yield every Schubert union of G(l,m) exactly once, canonically."""
+    grid = full_grid(params)
+    if len(grid) > guard:
+        raise TooLarge(f"grid has {len(grid)} points, guard is {guard}")
+    for ideal in down_sets(grid):
+        yield canonicalize(params, ideal, check=False)
 
 
 def grand_total(params) -> Poly:

@@ -21,12 +21,7 @@ from .grassgrid import (
     enumerate_ideals,
     grand_total,
 )
-from .twodim import NotTwoDim
-
-
-def _require_l2(params):
-    if params.l != 2:
-        raise NotTwoDim(f"l = {params.l}, need l = 2")
+from .twodim import _require_l2
 
 
 def lex_compare(p: Poly, q: Poly) -> int:
@@ -143,16 +138,24 @@ def bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:
     return exhaustive_bound_table(params, guard)
 
 
-def exhaustive_bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:
-    """J_r / D_r / E_r by sweeping every order ideal; any l, guarded."""
-    best_by_span = {}
+def optimal_unions(params, guard=DEFAULT_IDEAL_GUARD):
+    """span -> (lex-max g_U, set of unions attaining it), over every order ideal."""
+    best = {}
     for u in enumerate_ideals(params, guard):
         K = u.span()
         g = u.point_count()
-        have = best_by_span.get(K)
+        have = best.get(K)
         if have is None or g > have[0]:
-            best_by_span[K] = (g, None)
-    return _table_from_best(params, best_by_span)
+            best[K] = (g, {u})
+        elif g == have[0]:
+            have[1].add(u)
+    return best
+
+
+def exhaustive_bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:
+    """J_r / D_r / E_r by sweeping every order ideal; any l, guarded."""
+    best = optimal_unions(params, guard)
+    return _table_from_best(params, {K: (g, None) for K, (g, _us) in best.items()})
 
 
 def cardinality(point) -> int:

@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 from .grassgrid import (
     DEFAULT_IDEAL_GUARD,
+    GrassParams,
     Poly,
     TooLarge,
     cell_dimension,
+    down_sets,
     grand_total,
-    point_leq,
 )
 from .optimizer import bound_table
-from .twodim import EmptyUnion, NotTwoDim
+from .twodim import EmptyUnion, _require_l2
 
 DEFAULT_ORACLE_BUDGET = 2 * 10 ** 7
 
@@ -86,7 +87,6 @@ def top_weights(params):
 
 def d5_c25() -> Poly:
     """The middle weight of C(2,5): n - (q^3 + 2q^2 + q + 1)."""
-    from .grassgrid import GrassParams
     n = grand_total(GrassParams(2, 5))
     return n - Poly((1, 1, 2, 1))
 
@@ -205,12 +205,10 @@ class _MaskCache:
             return got
         mm = 0
         if self.colbits is not None:
-            bits = row
-            if not isinstance(bits, int):
-                bits = 0
-                for j, x in enumerate(row):
-                    if x:
-                        bits |= 1 << j
+            bits = 0
+            for j, x in enumerate(row):
+                if x:
+                    bits |= 1 << j
             for ci, cb in enumerate(self.colbits):
                 if (bits & cb).bit_count() % 2 == 0:
                     mm |= 1 << ci
@@ -223,61 +221,70 @@ class _MaskCache:
         return mm
 
 
+def _echelon_rows(field, k, pivots, i):
+    """Rows of level i of a reduced echelon basis, in itertools.product order."""
+    pivot = pivots[i]
+    free = [j for j in range(pivot + 1, k) if j not in pivots]
+    rows = []
+    for values in itertools.product(field.elements(), repeat=len(free)):
+        row = [0] * k
+        row[pivot] = 1
+        for j, v in zip(free, values):
+            row[j] = v
+        rows.append(tuple(row))
+    return rows
+
+
 def _max_annihilated(field, columns, k, r):
-    """Largest number of columns killed by an r-dimensional space of functionals.
+    """(best, witness): the most columns killed by an r-dimensional space of
+    functionals, 1 <= r <= k, and the reduced echelon basis of the first
+    such space in sweep order.
 
     Subspaces are enumerated once each through their reduced echelon basis;
     a partial intersection that cannot beat the best count prunes its branch.
     """
     cache = _MaskCache(field, columns)
-    q2 = field.q == 2
     full = (1 << len(columns)) - 1
-    best = 0
+    best, witness = -1, None
+    path = [None] * r
     for pivots in itertools.combinations(range(k), r):
-        pivot_set = set(pivots)
-        free_cols = [[j for j in range(pivots[i] + 1, k) if j not in pivot_set]
-                     for i in range(r)]
+        levels = [[(row, cache.mask(row)) for row in _echelon_rows(field, k, pivots, i)]
+                  for i in range(r)]
 
         def rec(i, acc):
-            nonlocal best
-            if acc.bit_count() <= best:
-                return
-            if i == r:
-                best = acc.bit_count()
-                return
-            cols_i = free_cols[i]
-            if q2:
-                base = 1 << pivots[i]
-                for bits in range(1 << len(cols_i)):
-                    row = base
-                    b = bits
-                    t = 0
-                    while b:
-                        if b & 1:
-                            row |= 1 << cols_i[t]
-                        b >>= 1
-                        t += 1
-                    rec(i + 1, acc & cache.mask(row))
-            else:
-                for values in itertools.product(field.elements(), repeat=len(cols_i)):
-                    row = [0] * k
-                    row[pivots[i]] = 1
-                    for j, v in zip(cols_i, values):
-                        row[j] = v
-                    rec(i + 1, acc & cache.mask(tuple(row)))
+            nonlocal best, witness
+            last = i == r - 1
+            for row, mask in levels[i]:
+                sub = acc & mask
+                count = sub.bit_count()
+                if count <= best:
+                    continue
+                path[i] = row
+                if last:
+                    best, witness = count, list(path)
+                else:
+                    rec(i + 1, sub)
 
         rec(0, full)
-    return best
+    return best, witness
+
+
+def check_oracle_budget(k, q, rs, budget):
+    """Raise BudgetExceeded unless every r-sweep of GF(q)^k fits the budget."""
+    for r in rs:
+        count = gaussian_binomial(k, r, q)
+        if count > budget:
+            raise BudgetExceeded(
+                f"sweep needs {count} subspaces, budget is {budget}")
 
 
 def oracle_dr(field, genmat, r, budget=DEFAULT_ORACLE_BUDGET) -> int:
     """Exact d_r of the code with the given generator matrix, by exhaustion."""
     k = genmat.k
-    count = gaussian_binomial(k, r, field.q)
-    if count > budget:
-        raise BudgetExceeded(
-            f"sweep needs {count} subspaces, budget is {budget}")
-    best = _max_annihilated(field, genmat.columns, k, r)
+    if not 1 <= r <= k:
+        raise ValueError(f"r={r} out of range 1..{k}")
+    check_oracle_budget(k, field.q, [r], budget)
+    best, _witness = _max_annihilated(field, genmat.columns, k, r)
     return genmat.n - best
 
 
@@ -309,25 +316,9 @@ def min_weight_bruteforce(field, genmat) -> int:
 def enumerate_subideals(union, guard=DEFAULT_IDEAL_GUARD):
     """Yield every downward-closed subset of G_U (as frozensets of points)."""
     ground = sorted(union.ideal())
-    n = len(ground)
-    if n > guard:
-        raise TooLarge(f"union has {n} points, guard is {guard}")
-    below = []
-    for i, a in enumerate(ground):
-        below.append([j for j in range(i) if point_leq(ground[j], a)])
-    chosen = set()
-
-    def rec(i):
-        if i == n:
-            yield frozenset(ground[j] for j in chosen)
-            return
-        yield from rec(i + 1)
-        if all(j in chosen for j in below[i]):
-            chosen.add(i)
-            yield from rec(i + 1)
-            chosen.remove(i)
-
-    yield from rec(0)
+    if len(ground) > guard:
+        raise TooLarge(f"union has {len(ground)} points, guard is {guard}")
+    yield from down_sets(ground)
 
 
 def relative_bound(union, q, guard=DEFAULT_IDEAL_GUARD):
@@ -352,9 +343,7 @@ def union_code_params(union, field, guard=DEFAULT_IDEAL_GUARD):
     when the Griesmer bound meets the coordinate-section upper bound
     n_U - M_r, and an interval is reported otherwise.
     """
-    params = union.params
-    if params.l != 2:
-        raise NotTwoDim(f"l = {params.l}, need l = 2")
+    _require_l2(union.params)
     if not union.maxima:
         raise EmptyUnion("no code on the empty union")
     q = field.q

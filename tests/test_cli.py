@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from schubert_unions import weights
 from schubert_unions.cli import main
 
 from table_fixtures import DIRECTIONS
@@ -203,3 +204,89 @@ def test_guard_env(capsys, monkeypatch):
     monkeypatch.setenv("SCHUBERT_UNIONS_GUARD", "28")
     code, out, _ = run_cli(["enumerate", "--l", "2", "--m", "5"], capsys)
     assert code == 0
+
+
+Q4_GOLDEN = {
+    "2": ("Q4 for (2,4): affirmative (for the sections found)\n"
+          "  r=1: H_r=19, dual section=1, H_(k-r)=1\n"
+          "  r=2: H_r=11, dual section=3, H_(k-r)=3\n"
+          "  r=3: H_r=7, dual section=7, H_(k-r)=7\n"
+          "  r=4: H_r=3, dual section=11, H_(k-r)=11\n"
+          "  r=5: H_r=1, dual section=19, H_(k-r)=19\n"),
+    "3": ("Q4 for (2,4): affirmative (for the sections found)\n"
+          "  r=1: H_r=49, dual section=1, H_(k-r)=1\n"
+          "  r=2: H_r=22, dual section=4, H_(k-r)=4\n"
+          "  r=3: H_r=13, dual section=13, H_(k-r)=13\n"
+          "  r=4: H_r=4, dual section=22, H_(k-r)=22\n"
+          "  r=5: H_r=1, dual section=49, H_(k-r)=49\n"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(Q4_GOLDEN))
+def test_experiment_q4_golden(capsys, q):
+    # the dual-section counts depend on which maximizing section is found
+    code, out, _ = run_cli(["experiment", "Q4", "--l", "2", "--m", "4",
+                            "--q", q], capsys)
+    assert code == 0
+    assert out == Q4_GOLDEN[q]
+
+
+def test_experiment_q8_golden(capsys):
+    code, out, _ = run_cli(["experiment", "Q8", "--l", "2", "--m", "10",
+                            "--guard", "45", "--format", "json"], capsys)
+    assert code == 0
+    assert out == ('{"question": "Q8", "l": 2, "m": 10, "verdict": '
+                   '"negative (witness K=22)", "detail": [22, 23]}\n')
+
+
+def test_missing_config_exit_code(capsys, tmp_path):
+    code, out, err = run_cli(["enumerate", "--l", "2", "--m", "5", "--config",
+                              str(tmp_path / "missing.json")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_negative_limits_exit_code(capsys, monkeypatch, tmp_path):
+    # a negative guard or budget is an invalid argument, not a refused job
+    code, _out, err = run_cli(["enumerate", "--l", "2", "--m", "5",
+                               "--guard", "-1"], capsys)
+    assert code == 2 and "guard" in err
+    code, _out, err = run_cli(["weights", "--l", "2", "--m", "4", "--q", "2",
+                               "--oracle", "--oracle-budget", "-5"], capsys)
+    assert code == 2 and "oracle_budget" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"point_guard": -1}))
+    code, _out, err = run_cli(["genmatrix", "--l", "2", "--m", "4", "--q", "2",
+                               "--config", str(cfg)], capsys)
+    assert code == 2 and "point_guard" in err
+    monkeypatch.setenv("SCHUBERT_UNIONS_GUARD", "-3")
+    code, _out, err = run_cli(["enumerate", "--l", "2", "--m", "5"], capsys)
+    assert code == 2 and "guard" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--q", "6"],
+    ["--q", "2", "--oracle", "--union", "[[2,4]]"],
+    ["--r-range", "0:3"],
+    ["--r-range", "5:7"],
+    ["--r-range", "4:2"],
+    ["--r-range", "7"],
+])
+def test_weights_invalid_arguments(capsys, extra):
+    code, out, err = run_cli(["weights", "--l", "2", "--m", "4", *extra], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "Q4", "--l", "2", "--m", "5", "--q", "2",
+     "--oracle-budget", "100000000"],
+    ["weights", "--l", "2", "--m", "5", "--q", "2", "--oracle", "--r-range", "1:4"],
+])
+def test_budget_checked_before_any_sweep(capsys, monkeypatch, argv):
+    def no_sweep(*args):
+        raise AssertionError("swept before checking the budget")
+    monkeypatch.setattr(weights, "_max_annihilated", no_sweep)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert "budget" in err

@@ -20,6 +20,7 @@ from schubert_unions.weights import (
     min_weight_bruteforce,
     nogin_weights,
     oracle_dr,
+    relative_bound,
     top_weights,
     union_code_params,
     weight_table,
@@ -131,6 +132,9 @@ def test_oracle_c24_q2_spot():
     gm = generator_matrix(f2, GrassParams(2, 4))
     assert oracle_dr(f2, gm, 1) == 16
     assert oracle_dr(f2, gm, 6) == 35
+    for r in (0, 7):
+        with pytest.raises(ValueError):
+            oracle_dr(f2, gm, r)
 
 
 def test_oracle_budget():
@@ -165,6 +169,18 @@ def test_union_code_params_examples():
     for m in (4, 5):
         full = union_code_params(SchubertUnion.full(GrassParams(2, m)), f2)
         assert full["d1"] == 2 ** (2 * (m - 2))
+
+
+def test_relative_bound_golden():
+    params = GrassParams(2, 5)
+    u = SchubertUnion(params, [(1, 5), (2, 3)])
+    assert relative_bound(u, 2) == {5: 0, 4: 1, 3: 3, 2: 7, 1: 15, 0: 19}
+    assert relative_bound(u, 3) == {5: 0, 4: 1, 3: 4, 2: 13, 1: 40, 0: 49}
+    u = SchubertUnion(params, [(1, 5), (3, 4)])
+    assert relative_bound(u, 2) == {7: 0, 6: 1, 5: 3, 4: 7, 3: 15, 2: 19,
+                                    1: 35, 0: 43}
+    assert relative_bound(u, 3) == {7: 0, 6: 1, 5: 4, 4: 13, 3: 40, 2: 49,
+                                    1: 130, 0: 157}
 
 
 def test_union_code_params_errors():
