@@ -44,7 +44,6 @@ from .optimizer import (
     krull_C,
     krull_dK,
     left_candidate,
-    lex_compare,
     right_candidate,
     threshold_report,
 )

@@ -24,6 +24,7 @@ from .twodim import EmptyUnion, NotTwoDim
 from .weights import BudgetExceeded
 
 GUARD_ENV = "SCHUBERT_UNIONS_GUARD"
+FORMATS = ("markdown", "csv", "json")
 
 
 def _emit_table(headers, rows, fmt, stream):
@@ -136,8 +137,7 @@ def cmd_directions(args, out):
     params = GrassParams(args.l, args.m)
     if params.l != 2:
         raise NotTwoDim("directions are defined for l = 2")
-    dirs = [optimizer.best_union(params, params.k - r)[1]
-            for r in range(params.k + 1)]
+    dirs = [row.direction for row in optimizer.bound_table(params).rows]
     if args.format == "json":
         out.write(json.dumps({"l": 2, "m": params.m, "directions": dirs}) + "\n")
     else:
@@ -188,16 +188,18 @@ def cmd_weights(args, out):
         if args.oracle:
             raise ValueError("--oracle does not apply to --union")
         u = _parse_union(params, args.union)
+        wanted = _parse_r_range(args.r_range, u.span())
         result = weights.union_code_params(u, field or gf.Field(2), args.guard)
+        records = [rec for rec in result["records"] if rec.r in wanted]
         rows = [(rec.r,
                  rec.value if rec.value is not None else "-",
                  rec.lower if rec.value is None else "-",
                  rec.upper if rec.value is None else "-",
-                 rec.source) for rec in result["records"]]
+                 rec.source) for rec in records]
         if args.format == "json":
             out.write(json.dumps({
                 "n": result["n"], "k": result["k"], "d1": result["d1"],
-                "records": [rec.as_dict() for rec in result["records"]],
+                "records": [rec.as_dict() for rec in records],
             }) + "\n")
         else:
             out.write(f"n={result['n']} k={result['k']} d1={result['d1']}\n")
@@ -347,7 +349,7 @@ def build_parser():
         p.add_argument("--m", type=int, required=True)
         if need_q:
             p.add_argument("--q", type=int, default=None)
-        p.add_argument("--format", choices=("markdown", "csv", "json"),
+        p.add_argument("--format", choices=FORMATS,
                        default="markdown")
         p.add_argument("--out", default=None)
         p.add_argument("--guard", type=int, default=None)
@@ -406,10 +408,20 @@ def _resolve_defaults(args):
         args.point_guard = int(config.get("point_guard",
                                           pluecker.DEFAULT_POINT_GUARD))
     if "format" in config and args.format == "markdown":
+        if config["format"] not in FORMATS:
+            raise ValueError(f"config format must be one of {', '.join(FORMATS)},"
+                             f" got {config['format']!r}")
         args.format = config["format"]
     for name in ("guard", "oracle_budget", "point_guard"):
         if getattr(args, name, 0) < 0:
             raise ValueError(f"{name} must be >= 0, got {getattr(args, name)}")
+
+
+def _open_out(path, mode):
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 HANDLERS = {
@@ -432,14 +444,14 @@ def main(argv=None):
         if args.command == "genmatrix":
             if args.out:
                 mode = "wb" if args.binary else "w"
-                with open(args.out, mode) as fh:
+                with _open_out(args.out, mode) as fh:
                     return cmd_genmatrix(args, fh, fh)
             if args.binary:
                 return cmd_genmatrix(args, None, sys.stdout.buffer)
             return cmd_genmatrix(args, sys.stdout, None)
         handler = HANDLERS[args.command]
         if args.out:
-            with open(args.out, "w") as fh:
+            with _open_out(args.out, "w") as fh:
                 return handler(args, fh)
         return handler(args, sys.stdout)
     except (TooLarge, BudgetExceeded) as exc:

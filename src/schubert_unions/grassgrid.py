@@ -183,6 +183,28 @@ def point_leq(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def lower_covers(a):
+    """Grid points one step below `a` in a single coordinate.
+
+    Componentwise order on strictly increasing tuples is a distributive
+    lattice, so a set is downward closed exactly when it holds every lower
+    cover of each of its points.
+    """
+    prev = 0
+    for i, x in enumerate(a):
+        if x - 1 > prev:
+            yield a[:i] + (x - 1,) + a[i + 1:]
+        prev = x
+
+
+def upper_covers(a, m):
+    """Grid points one step above `a` in a single coordinate, within 1..m."""
+    for i, x in enumerate(a):
+        nxt = a[i + 1] if i + 1 < len(a) else m + 1
+        if x + 1 < nxt:
+            yield a[:i] + (x + 1,) + a[i + 1:]
+
+
 def validate_point(params, alpha):
     a = tuple(alpha)
     if len(a) != params.l:
@@ -239,10 +261,14 @@ class SchubertUnion:
         """The downward-closed grid subset G_U generated by the maxima."""
         cached = self._ideal
         if cached is None:
-            cached = frozenset(
-                beta for beta in full_grid(self.params)
-                if any(point_leq(beta, a) for a in self.maxima)
-            )
+            seen = set(self.maxima)
+            stack = list(self.maxima)
+            while stack:
+                for beta in lower_covers(stack.pop()):
+                    if beta not in seen:
+                        seen.add(beta)
+                        stack.append(beta)
+            cached = frozenset(seen)
             object.__setattr__(self, "_ideal", cached)
         return cached
 
@@ -300,8 +326,21 @@ class SchubertUnion:
 
 
 def canonicalize(params, points, check=True):
-    """Union whose ideal is `points`; raises NotDownwardClosed unless an ideal."""
-    pts = {validate_point(params, p) for p in points}
+    """Union whose ideal is `points`; raises NotDownwardClosed unless an ideal.
+
+    A downward-closed set is recognised by its lower covers, its maxima are
+    the points with no upper cover in the set, and the set itself becomes
+    the union's ideal: linear in the set's size.  Only a set that is not
+    downward closed takes the pairwise path, which returns the union its
+    maxima generate (check=False) or names the points missing below them.
+    """
+    pts = frozenset(validate_point(params, p) for p in points)
+    if all(b in pts for a in pts for b in lower_covers(a)):
+        m = params.m
+        u = SchubertUnion(params, [a for a in pts
+                                   if not any(b in pts for b in upper_covers(a, m))])
+        object.__setattr__(u, "_ideal", pts)
+        return u
     maxima = [a for a in pts if not any(a != b and point_leq(a, b) for b in pts)]
     u = SchubertUnion(params, maxima)
     if check and len(u.ideal()) != len(pts):

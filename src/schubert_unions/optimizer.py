@@ -24,43 +24,31 @@ from .grassgrid import (
 from .twodim import _require_l2
 
 
-def lex_compare(p: Poly, q: Poly) -> int:
-    """-1, 0 or 1: compare by degree, then coefficients from the top down."""
-    a, b = p.lex_key(), q.lex_key()
-    return (a > b) - (a < b)
+def _column_fill(m):
+    """Cells of G(2,m) column by column from the left, each bottom up."""
+    return [(x, y) for x in range(1, m) for y in range(x + 1, m + 1)]
+
+
+def _row_fill(m):
+    """Cells of G(2,m) row by row from the bottom, each left to right."""
+    return [(x, y) for y in range(2, m + 1) for x in range(1, y)]
+
+
+def _first_cells(params, K, fill):
+    _require_l2(params)
+    if not (0 <= K <= params.k):
+        raise ValueError(f"K={K} out of range 0..{params.k}")
+    return canonicalize(params, fill(params.m)[:K], check=False)
 
 
 def left_candidate(params, K) -> SchubertUnion:
     """Fill whole columns left to right, then the next column bottom up."""
-    _require_l2(params)
-    if not (0 <= K <= params.k):
-        raise ValueError(f"K={K} out of range 0..{params.k}")
-    m = params.m
-    pts = set()
-    col, rem = 1, K
-    while rem > 0:
-        take = min(m - col, rem)
-        for j in range(take):
-            pts.add((col, col + 1 + j))
-        rem -= take
-        col += 1
-    return canonicalize(params, pts, check=False)
+    return _first_cells(params, K, _column_fill)
 
 
 def right_candidate(params, K) -> SchubertUnion:
     """Fill whole rows bottom to top, then the next row left to right."""
-    _require_l2(params)
-    if not (0 <= K <= params.k):
-        raise ValueError(f"K={K} out of range 0..{params.k}")
-    pts = set()
-    row, rem = 2, K
-    while rem > 0:
-        take = min(row - 1, rem)
-        for x in range(1, take + 1):
-            pts.add((x, row))
-        rem -= take
-        row += 1
-    return canonicalize(params, pts, check=False)
+    return _first_cells(params, K, _row_fill)
 
 
 def best_union(params, K):
@@ -70,12 +58,27 @@ def best_union(params, K):
     Use candidates() when both unions are wanted.
     """
     left, right = left_candidate(params, K), right_candidate(params, K)
-    c = lex_compare(left.point_count(), right.point_count())
-    if c > 0:
-        return left, "L"
-    if c < 0:
-        return right, "R"
-    return left, "LR"
+    direction = _direction(left.point_count(), right.point_count())
+    return (right if direction == "R" else left), direction
+
+
+def _direction(g_left: Poly, g_right: Poly) -> str:
+    """'L', 'R' or 'LR': which candidate's g is lex-larger (Poly order)."""
+    if g_left > g_right:
+        return "L"
+    if g_left < g_right:
+        return "R"
+    return "LR"
+
+
+def _running_counts(m, fill):
+    """g of the first K cells of a fill order of G(2,m), for K = 0..k."""
+    counts = [0] * (2 * m - 3)
+    out = [Poly()]
+    for x, y in fill(m):
+        counts[x + y - 3] += 1
+        out.append(Poly(counts))
+    return out
 
 
 def candidates(params, K):
@@ -127,13 +130,18 @@ def bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:
     """J_r / D_r / E_r for r = 0..k.
 
     For l = 2 each spanning dimension is settled by the two candidates and
-    the direction is recorded; otherwise every ideal is enumerated (guarded).
+    the direction is recorded.  Their g for every K comes from one pass
+    over each candidate's fill order, adding one cell at a time: O(k)
+    polynomial steps and no unions built.  Otherwise every ideal is
+    enumerated (guarded).
     """
     if params.l == 2:
+        m = params.m
         best_by_span = {}
-        for K in range(params.k + 1):
-            u, direction = best_union(params, K)
-            best_by_span[K] = (u.point_count(), direction)
+        for K, (g_left, g_right) in enumerate(zip(_running_counts(m, _column_fill),
+                                                  _running_counts(m, _row_fill))):
+            direction = _direction(g_left, g_right)
+            best_by_span[K] = (g_right if direction == "R" else g_left, direction)
         return _table_from_best(params, best_by_span)
     return exhaustive_bound_table(params, guard)
 

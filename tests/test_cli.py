@@ -155,6 +155,16 @@ def test_weights_union(capsys):
     assert data["k"] == 5
 
 
+def test_weights_union_r_range(capsys):
+    code, out, _ = run_cli(["weights", "--l", "2", "--m", "5", "--q", "2",
+                            "--union", "[[1,5],[2,3]]", "--r-range", "2:3",
+                            "--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert [rec["r"] for rec in data["records"]] == [2, 3]
+    assert (data["n"], data["k"], data["d1"]) == (19, 5, 4)
+
+
 def test_experiment_q8(capsys):
     code, out, _ = run_cli(["experiment", "Q8", "--l", "2", "--m", "8"], capsys)
     assert code == 0 and "affirmative" in out
@@ -246,6 +256,27 @@ def test_missing_config_exit_code(capsys, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--l", "2", "--m", "4"],
+    ["genmatrix", "--l", "2", "--m", "4", "--q", "2", "--binary"],
+])
+def test_unwritable_out_exit_code(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli([*argv, "--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_config_format_checked(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    code, out, err = run_cli(["krull", "--l", "2", "--m", "5",
+                              "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "format" in err
+
+
 def test_negative_limits_exit_code(capsys, monkeypatch, tmp_path):
     # a negative guard or budget is an invalid argument, not a refused job
     code, _out, err = run_cli(["enumerate", "--l", "2", "--m", "5",
@@ -271,6 +302,9 @@ def test_negative_limits_exit_code(capsys, monkeypatch, tmp_path):
     ["--r-range", "5:7"],
     ["--r-range", "4:2"],
     ["--r-range", "7"],
+    # the range of a union's code is checked against the union's span, 5 here
+    ["--q", "2", "--union", "[[2,4]]", "--r-range", "6"],
+    ["--q", "2", "--union", "[[2,4]]", "--r-range", "0:2"],
 ])
 def test_weights_invalid_arguments(capsys, extra):
     code, out, err = run_cli(["weights", "--l", "2", "--m", "4", *extra], capsys)

@@ -10,14 +10,17 @@ from schubert_unions.grassgrid import (
     TooLarge,
     canonicalize,
     cell_dimension,
+    down_sets,
     enumerate_ideals,
     full_grid,
     gaussian_point_count,
     grand_total,
     grid_to_partition,
+    lower_covers,
     partition_to_grid,
     partition_weight,
     point_leq,
+    upper_covers,
 )
 
 
@@ -78,6 +81,65 @@ def test_canonicalize_roundtrip_exhaustive():
     for params in (GrassParams(2, 6), GrassParams(3, 5)):
         for u in enumerate_ideals(params):
             assert canonicalize(params, u.ideal()) == u
+
+
+# Every down-set of these grids is checked against the pairwise definitions
+# that canonicalize and ideal() used before they walked grid covers.
+COVER_GRIDS = [GrassParams(l, m) for l in (2, 3) for m in range(l + 1, 8)]
+
+
+def pairwise_maxima(pts):
+    return tuple(sorted(a for a in pts
+                        if not any(a != b and point_leq(a, b) for b in pts)))
+
+
+def scanned_ideal(params, maxima):
+    return frozenset(b for b in full_grid(params)
+                     if any(point_leq(b, a) for a in maxima))
+
+
+@pytest.mark.parametrize("params", COVER_GRIDS, ids=repr)
+def test_canonicalize_maxima_match_pairwise(params):
+    for pts in down_sets(full_grid(params)):
+        u = canonicalize(params, pts)
+        assert u.maxima == pairwise_maxima(pts)
+        assert u.ideal() == pts
+
+
+@pytest.mark.parametrize("params", COVER_GRIDS, ids=repr)
+def test_ideal_matches_full_grid_scan(params):
+    for pts in down_sets(full_grid(params)):
+        maxima = pairwise_maxima(pts)
+        assert SchubertUnion(params, maxima).ideal() == scanned_ideal(params, maxima)
+
+
+@pytest.mark.parametrize("params", COVER_GRIDS, ids=repr)
+def test_covers_are_one_step_neighbours(params):
+    grid = full_grid(params)
+    for a in grid:
+        below = [b for b in grid if point_leq(b, a) and sum(a) - sum(b) == 1]
+        above = [b for b in grid if point_leq(a, b) and sum(b) - sum(a) == 1]
+        assert sorted(lower_covers(a)) == below
+        assert sorted(upper_covers(a, params.m)) == above
+
+
+@pytest.mark.parametrize("l, m, pts, message", [
+    (2, 4, [(1, 2), (2, 3)], "[(1, 3)]"),
+    (2, 5, [(2, 4)], "[(1, 2), (1, 3), (1, 4)]"),
+    (2, 5, [(1, 5), (2, 3)], "[(1, 2), (1, 3), (1, 4)]"),
+    (2, 7, [(1, 2), (1, 3), (3, 5)], "[(1, 4), (1, 5), (2, 3)]"),
+    (3, 6, [(1, 2, 3), (2, 4, 6)], "[(1, 2, 4), (1, 2, 5), (1, 2, 6)]"),
+    (3, 6, [(1, 2, 4)], "[(1, 2, 3)]"),
+])
+def test_canonicalize_not_downward_closed(l, m, pts, message):
+    params = GrassParams(l, m)
+    with pytest.raises(NotDownwardClosed) as info:
+        canonicalize(params, pts)
+    assert str(info.value) == f"missing points below maxima, e.g. {message}"
+    # unchecked, the union is the one the pairwise maxima generate
+    u = canonicalize(params, pts, check=False)
+    assert u.maxima == pairwise_maxima(pts)
+    assert u.ideal() == scanned_ideal(params, u.maxima)
 
 
 def test_antichain_enforced():

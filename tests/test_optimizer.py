@@ -16,10 +16,11 @@ from schubert_unions.optimizer import (
     krull_C,
     krull_dK,
     left_candidate,
-    lex_compare,
     right_candidate,
     threshold_report,
 )
+
+from schubert_unions.optimizer import _column_fill, _row_fill, _running_counts
 
 from table_fixtures import DIRECTIONS, E_EXPONENTS
 
@@ -67,11 +68,14 @@ def test_candidates_are_valid_spans():
 
 
 def test_lex_compare():
-    assert lex_compare(Poly.parse("q^5"), Poly.parse("3q^4+2q^3")) > 0
-    assert lex_compare(Poly.parse("2q^4+q"), Poly.parse("q^4+3q^3")) > 0
-    assert lex_compare(Poly.parse("q^4+2q^3+2q^2+q+1"),
-                       Poly.parse("q^4+q^3+2q^2+q+1")) > 0
-    assert lex_compare(Poly.parse("q+1"), Poly.parse("q+1")) == 0
+    # Poly's own ordering is the lexicographic comparison the optimizer uses
+    assert Poly.parse("q^5") > Poly.parse("3q^4+2q^3")
+    assert Poly.parse("2q^4+q") > Poly.parse("q^4+3q^3")
+    assert Poly.parse("q^4+2q^3+2q^2+q+1") > Poly.parse("q^4+q^3+2q^2+q+1")
+    assert Poly.parse("q^4+q^3+2q^2+q+1") < Poly.parse("q^4+2q^3+2q^2+q+1")
+    assert Poly.parse("q+1") == Poly.parse("q+1")
+    assert not Poly.parse("q+1") < Poly.parse("q+1")
+    assert not Poly.parse("q+1") > Poly.parse("q+1")
 
 
 def test_best_union_direction_spots():
@@ -89,6 +93,20 @@ def test_direction_tables():
         p = GrassParams(l, m)
         got = [best_union(p, p.k - r)[1] for r in range(p.k + 1)]
         assert got == expect, (l, m)
+
+
+@pytest.mark.parametrize("m", range(3, 31))
+def test_running_counts_match_candidates(m):
+    # the l=2 table adds one cell at a time; the candidate unions are the reference
+    p = GrassParams(2, m)
+    left = _running_counts(m, _column_fill)
+    right = _running_counts(m, _row_fill)
+    assert len(left) == len(right) == p.k + 1
+    table = bound_table(p)
+    for K in range(p.k + 1):
+        lu, ru = candidates(p, K)
+        assert (left[K], right[K]) == (lu.point_count(), ru.point_count())
+        assert table.row(p.k - K).J == max(left[K], right[K])
 
 
 def test_bound_table_er_sequences():
