@@ -283,8 +283,6 @@ def experiment_q4(params, q, budget, point_guard):
     weights.check_oracle_budget(params.k, q, range(1, params.k), budget)
     genmat = pluecker.generator_matrix(field, params, None, point_guard)
     k, n = genmat.k, genmat.n
-    dual_points = [vec for _a, vec in
-                   pluecker.enumerate_points(field, params, None, point_guard)]
     h = {}
     argmax = {}
     for r in range(1, k):
@@ -298,7 +296,8 @@ def experiment_q4(params, q, budget, point_guard):
                    if all(field.dot(f, col) == 0 for f in rows)]
         basis, _rank = gf.row_reduce(field, section)
         basis = [b for b in basis if any(b)]
-        dual_count = sum(1 for f in dual_points
+        # the full code's columns are the Pluecker vectors of all points
+        dual_count = sum(1 for f in genmat.columns
                          if all(field.dot(f, b) == 0 for b in basis))
         results.append((r, h[r], dual_count, h.get(k - r, n)))
     ok = all(dc == target for _r, _h, dc, target in results)

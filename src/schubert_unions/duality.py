@@ -16,9 +16,7 @@ from .grassgrid import (
     Poly,
     SchubertUnion,
     canonicalize,
-    full_grid,
     grand_total,
-    point_leq,
 )
 
 
@@ -69,7 +67,9 @@ def dual_union_explicit(union: SchubertUnion) -> SchubertUnion:
                 break
         if not dead:
             cycles.add(tuple(f[1:]))
-    pts = {t for t in full_grid(params) if any(point_leq(t, c) for c in cycles)}
+    pts = set()
+    for c in cycles:
+        pts |= SchubertUnion.cycle(params, c).ideal()
     return canonicalize(params, pts, check=False)
 
 

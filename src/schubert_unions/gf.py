@@ -1,4 +1,4 @@
-"""Arithmetic in GF(q) for small prime powers, and matrix rank over GF(q).
+"""Arithmetic in GF(q) for small prime powers; rank and minors over GF(q).
 
 Elements are integers 0..q-1.  For q = p^e with e > 1 the integer's base-p
 digits are the coefficients of a polynomial over GF(p), reduced modulo a
@@ -13,6 +13,7 @@ polynomials and to drive the brute-force weight oracle.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 # modulus digits, lowest degree first
 DEFAULT_MODULI = {
@@ -194,7 +195,10 @@ def rank(field, matrix) -> int:
 
 
 def det(field, matrix) -> int:
-    """Determinant of a square matrix over the field, by elimination."""
+    """Determinant of a square matrix over the field, by elimination.
+
+    Independent of `maximal_minors`, which tests compare against it.
+    """
     rows = [list(r) for r in matrix]
     n = len(rows)
     acc = 1
@@ -213,3 +217,51 @@ def det(field, matrix) -> int:
                 rows[i] = [field.sub(x, field.mul(c, y))
                            for x, y in zip(rows[i], rows[col])]
     return acc
+
+
+@lru_cache(maxsize=16)
+def _laplace_plan(l, m):
+    """Expansion terms of the i x i minors on rows 1..i, for i = 2..l.
+
+    Level i lists, for each i-subset S of the m columns in lexicographic
+    order, the terms (column c, index of the (i-1)-minor on S minus c,
+    whether the sign is negative) of the expansion along row i.  The top
+    level is therefore in `full_grid` order.
+    """
+    index = {(c,): c for c in range(m)}
+    plan = []
+    for i in range(2, l + 1):
+        level, nxt = [], {}
+        for cols in itertools.combinations(range(m), i):
+            nxt[cols] = len(level)
+            level.append(tuple(
+                (c, index[cols[:t] + cols[t + 1:]], (i - 1 + t) % 2 == 1)
+                for t, c in enumerate(cols)))
+        plan.append(tuple(level))
+        index = nxt
+    return tuple(plan)
+
+
+def maximal_minors(field, matrix) -> tuple:
+    """All l x l minors of an l x m matrix, columns in lexicographic order.
+
+    One Laplace expansion shared by every minor: the minors of the first i
+    rows on each i-subset of columns are built from the (i-1)-minors of the
+    first i-1 rows, so no minor is recomputed and nothing is eliminated.
+    """
+    add, mul, neg = field._add, field._mul, field._neg
+    prev = matrix[0]
+    for row, level in zip(matrix[1:], _laplace_plan(len(matrix), len(prev))):
+        cur = []
+        for terms in level:
+            acc = 0
+            for c, j, negative in terms:
+                x = row[c]
+                if x:
+                    y = prev[j]
+                    if y:
+                        t = mul[x][y]
+                        acc = add[acc][neg[t] if negative else t]
+            cur.append(acc)
+        prev = cur
+    return tuple(prev)

@@ -244,6 +244,21 @@ class SchubertUnion:
         raise AttributeError("SchubertUnion is immutable")
 
     @classmethod
+    def _from_down_set(cls, params, pts):
+        """Union whose ideal is the down-set `pts`, built without checks.
+
+        `pts` must be a frozenset of valid grid points that is downward
+        closed; the maxima are its points with no upper cover in it.
+        """
+        m = params.m
+        u = object.__new__(cls)
+        object.__setattr__(u, "params", params)
+        object.__setattr__(u, "maxima", tuple(sorted(
+            a for a in pts if not any(b in pts for b in upper_covers(a, m)))))
+        object.__setattr__(u, "_ideal", pts)
+        return u
+
+    @classmethod
     def empty(cls, params):
         return cls(params, ())
 
@@ -336,11 +351,7 @@ def canonicalize(params, points, check=True):
     """
     pts = frozenset(validate_point(params, p) for p in points)
     if all(b in pts for a in pts for b in lower_covers(a)):
-        m = params.m
-        u = SchubertUnion(params, [a for a in pts
-                                   if not any(b in pts for b in upper_covers(a, m))])
-        object.__setattr__(u, "_ideal", pts)
-        return u
+        return SchubertUnion._from_down_set(params, pts)
     maxima = [a for a in pts if not any(a != b and point_leq(a, b) for b in pts)]
     u = SchubertUnion(params, maxima)
     if check and len(u.ideal()) != len(pts):
@@ -381,7 +392,7 @@ def enumerate_ideals(params, guard=DEFAULT_IDEAL_GUARD):
     if len(grid) > guard:
         raise TooLarge(f"grid has {len(grid)} points, guard is {guard}")
     for ideal in down_sets(grid):
-        yield canonicalize(params, ideal, check=False)
+        yield SchubertUnion._from_down_set(params, ideal)
 
 
 def grand_total(params) -> Poly:

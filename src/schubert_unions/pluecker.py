@@ -7,6 +7,8 @@ its row is zero.  The free entries are the sum(a_i) - l(l+1)/2 remaining
 positions; sweeping them over the field enumerates the cell exactly once.
 Pluecker coordinates are the maximal minors taken in increasing column
 order, so the cell's own coordinate is 1 and the output is deterministic.
+All minors of a matrix come from one shared Laplace expansion along its rows
+(`gf.maximal_minors`), not from an elimination per minor.
 """
 
 from __future__ import annotations
@@ -46,15 +48,9 @@ def cell_matrices(field, params, alpha):
         yield mat
 
 
-def pluecker_vector(field, params, matrix, grid=None):
+def pluecker_vector(field, params, matrix):
     """Minors of the l x m matrix at every grid index, in grid order."""
-    if grid is None:
-        grid = full_grid(params)
-    out = []
-    for cols in grid:
-        sub = [[row[c - 1] for c in cols] for row in matrix]
-        out.append(gf.det(field, sub))
-    return tuple(out)
+    return gf.maximal_minors(field, matrix)
 
 
 def count_points(params, union, q) -> int:
@@ -69,10 +65,9 @@ def enumerate_points(field, params, union=None, guard=DEFAULT_POINT_GUARD):
     if expected > guard:
         raise TooLarge(f"enumeration of {expected} points exceeds guard {guard}")
     cells = sorted(union.ideal()) if union is not None else full_grid(params)
-    grid = full_grid(params)
     for alpha in cells:
         for mat in cell_matrices(field, params, alpha):
-            yield alpha, pluecker_vector(field, params, mat, grid)
+            yield alpha, pluecker_vector(field, params, mat)
 
 
 @dataclass(frozen=True)
@@ -106,17 +101,16 @@ def generator_matrix(field, params, union=None, guard=DEFAULT_POINT_GUARD):
     identically zero on the union's points.
     """
     grid = full_grid(params)
+    points = enumerate_points(field, params, union, guard)
     if union is None:
         row_pts = tuple(grid)
-        idx = list(range(len(grid)))
+        cols = tuple(vec for _alpha, vec in points)
     else:
         row_pts = tuple(sorted(union.ideal()))
         pos = {t: i for i, t in enumerate(grid)}
         idx = [pos[t] for t in row_pts]
-    cols = []
-    for _alpha, vec in enumerate_points(field, params, union, guard):
-        cols.append(tuple(vec[i] for i in idx))
-    return GeneratorMatrix(field, params, union, row_pts, tuple(cols))
+        cols = tuple(tuple(vec[i] for i in idx) for _alpha, vec in points)
+    return GeneratorMatrix(field, params, union, row_pts, cols)
 
 
 def write_text(genmat, stream):

@@ -1,4 +1,7 @@
+import hashlib
+import io
 import json
+import sys
 
 import pytest
 
@@ -125,6 +128,37 @@ def test_genmatrix_binary(capsys, tmp_path):
     meta = json.loads(header)
     assert meta["rows"] == 3 and meta["n"] == 7 and meta["union"] == [[2, 3]]
     assert len(body) == 21
+
+
+# sha256 of stdout, recorded when each Pluecker coordinate was its own
+# gf.det elimination
+GENMATRIX_GOLDEN = [
+    ("--l 2 --m 5 --q 4",
+     "9b55663192476f22d4006070d3f8a00e75b2143181a0593a2d5bd5d917d2db25"),
+    ("--l 2 --m 4 --q 9",
+     "9153aacbfca360d21afabea9e71f522210f1cac15c26f75fd228965aea7cc587"),
+    ("--l 3 --m 6 --q 2 --union [[1,5,6],[2,4,6],[3,4,5]]",
+     "247ad1cdf283c729655cb97e80025cf09d0bd09bc708573218d0c21fbb95b4cb"),
+    ("--l 3 --m 6 --q 2 --union [[1,5,6],[2,4,6],[3,4,5]] --binary",
+     "ce0a2256d4d740c2265ad529f1dbb2b56bdb4f3ff473bac080f868ec928735c3"),
+    ("--l 2 --m 5 --q 4 --binary",
+     "79acf8f17737b986c12e74d7b5ad0b1c3873dc8aeb9cf6c23a9158d1491db1b4"),
+    ("--l 2 --m 5 --q 5 --binary",
+     "65f0ed924cfd6b74e9679b665cf307a6ac25a62181ea12c0c58854c5f1aff446"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", GENMATRIX_GOLDEN)
+def test_genmatrix_golden(monkeypatch, flags, digest):
+    # a byte stream under a text layer, like the real stdout, so both the
+    # text writer and the --binary writer (stdout.buffer) land in `raw`
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["genmatrix", *flags.split()])
+    stdout.flush()
+    assert code == 0
+    assert hashlib.sha256(raw.getvalue()).hexdigest() == digest
 
 
 def test_weights_json(capsys):

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from schubert_unions.gf import Field, det, rank, row_reduce
+from schubert_unions.gf import Field, det, maximal_minors, rank, row_reduce
 
 SUPPORTED = (2, 3, 4, 5, 7, 8, 9)
+ALL_SUPPORTED = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 
 
 def test_gf2_basics():
@@ -90,3 +91,39 @@ def test_det_small():
     assert det(f, [[2]]) == 2
     assert det(f, [[1, 2], [3, 4]]) == (4 - 6) % 5
     assert det(f, [[1, 2], [2, 4]]) == 0
+
+
+def minors_by_det(f, mat):
+    """The per-minor reference: one `det` per l-subset of columns, in
+    lexicographic order (the grid order of G(l,m))."""
+    l, m = len(mat), len(mat[0])
+    return tuple(det(f, [[row[c] for c in cols] for row in mat])
+                 for cols in itertools.combinations(range(m), l))
+
+
+def test_maximal_minors_small():
+    f = Field(5)
+    assert maximal_minors(f, [[2, 0, 3]]) == (2, 0, 3)
+    # columns (1,2), (1,3), (2,3)
+    assert maximal_minors(f, [[1, 2, 0], [3, 4, 1]]) == ((4 - 6) % 5, 1, 2)
+    assert maximal_minors(f, [[1, 2], [2, 4]]) == (0,)
+
+
+@pytest.mark.parametrize("q", ALL_SUPPORTED)
+def test_maximal_minors_match_det_random(q):
+    # matrices in no particular form, a third of them made rank-deficient
+    rng = random.Random(1000 + q)
+    f = Field(q)
+    for trial in range(300):
+        l = rng.randint(1, 4)
+        m = rng.randint(l, 7)
+        mat = [[rng.randrange(q) for _ in range(m)] for _ in range(l)]
+        if trial % 3 == 0:
+            # one row a multiple of another row, or zero when l == 1
+            i = rng.randrange(l)
+            other = mat[(i + 1) % l] if l > 1 else [0] * m
+            c = rng.randrange(q)
+            mat[i] = [f.mul(c, x) for x in other]
+        got = maximal_minors(f, mat)
+        assert got == minors_by_det(f, mat), (q, mat)
+        assert any(got) == (rank(f, mat) == l), (q, mat)

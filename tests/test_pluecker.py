@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from schubert_unions.grassgrid import (
     gaussian_point_count,
 )
 from schubert_unions.pluecker import (
+    cell_matrices,
     count_points,
     enumerate_points,
     free_positions,
@@ -21,6 +23,8 @@ from schubert_unions.pluecker import (
     write_binary,
     write_text,
 )
+
+from test_gf import minors_by_det
 
 
 def test_full_point_counts():
@@ -97,6 +101,40 @@ def test_l1_vector_is_the_row():
     params = GrassParams(1, 4)
     mat = [[2, 1, 0, 1]]
     assert pluecker_vector(f3, params, mat) == (2, 1, 0, 1)
+
+
+EVERY_POINT = [(l, m, q) for l, m in ((1, 4), (2, 4), (2, 5), (3, 5))
+               for q in (2, 3, 4, 5)]
+EVERY_POINT += [(l, m, q) for l, m in ((1, 4), (2, 4)) for q in (8, 9)]
+EVERY_POINT += [(3, 6, 2)]
+
+
+@pytest.mark.parametrize("l,m,q", EVERY_POINT)
+def test_vector_matches_det_every_point(l, m, q):
+    field = Field(q)
+    params = GrassParams(l, m)
+    for alpha in full_grid(params):
+        for mat in cell_matrices(field, params, alpha):
+            assert pluecker_vector(field, params, mat) == \
+                minors_by_det(field, mat), (alpha, mat)
+
+
+@pytest.mark.parametrize("l,m,q", [(2, 5, 8), (2, 5, 9), (3, 5, 8), (3, 5, 9)])
+def test_vector_matches_det_sampled_points(l, m, q):
+    # 0.3M-0.6M points each: every cell, a fixed sample of its free entries
+    field = Field(q)
+    params = GrassParams(l, m)
+    rng = random.Random(100 * l + 10 * m + q)
+    for alpha in full_grid(params):
+        slots = free_positions(alpha, l)
+        for _ in range(200):
+            mat = [[0] * m for _ in range(l)]
+            for i, a in enumerate(alpha):
+                mat[i][a - 1] = 1
+            for i, j in slots:
+                mat[i][j - 1] = rng.randrange(q)
+            assert pluecker_vector(field, params, mat) == \
+                minors_by_det(field, mat), (alpha, mat)
 
 
 def test_free_positions():
