@@ -400,12 +400,8 @@ def grand_total(params) -> Poly:
     return SchubertUnion.full(params).point_count()
 
 
-def gaussian_point_count(params, q) -> int:
-    """|G(l,m)(F_q)| from the product of (q^{m-i}-1)/(q^{l-i}-1) factors.
-
-    Independent of the cell decomposition; used to cross-check grand_total.
-    """
-    l, m = params.l, params.m
+def gaussian_binomial(m, l, q) -> int:
+    """Number of l-dimensional subspaces of GF(q)^m."""
     num = 1
     den = 1
     for i in range(l):
@@ -413,6 +409,11 @@ def gaussian_point_count(params, q) -> int:
         den *= q ** (l - i) - 1
     assert num % den == 0
     return num // den
+
+
+def gaussian_point_count(params, q) -> int:
+    """|G(l,m)(F_q)| independently of the cells; cross-checks grand_total."""
+    return gaussian_binomial(params.m, params.l, q)
 
 
 def grid_to_partition(params, alpha):

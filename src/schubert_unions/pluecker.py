@@ -35,16 +35,19 @@ def free_positions(alpha, l):
 
 
 def cell_matrices(field, params, alpha):
-    """All reduced-form basis matrices of the cell, free entries in odometer order."""
+    """All reduced-form basis matrices of the cell, free entries in odometer order.
+
+    The same matrix object is yielded every time, its free slots rewritten in
+    place before each yield: use it before asking for the next one.
+    """
     l, m = params.l, params.m
-    slots = free_positions(alpha, l)
-    base = [[0] * m for _ in range(l)]
+    slots = [(i, j - 1) for i, j in free_positions(alpha, l)]
+    mat = [[0] * m for _ in range(l)]
     for i, a in enumerate(alpha):
-        base[i][a - 1] = 1
+        mat[i][a - 1] = 1
     for values in itertools.product(field.elements(), repeat=len(slots)):
-        mat = [row[:] for row in base]
         for (i, j), v in zip(slots, values):
-            mat[i][j - 1] = v
+            mat[i][j] = v
         yield mat
 
 

@@ -6,6 +6,9 @@ plus the one remaining value for C(2,5).  Between those ranges the module
 reports the interval [Griesmer lower bound, D_r], with D_r = n - J_r the
 Schubert-union bound.  A brute-force oracle sweeps all codimension-r
 subspaces in reduced echelon form and is exact wherever it is affordable.
+A functional's zero set comes from value masks of the two halves of the
+message coordinates, the same path for every q: q ANDs of column bitmasks
+instead of one dot product per column.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .grassgrid import (
     TooLarge,
     cell_dimension,
     down_sets,
+    gaussian_binomial,
     grand_total,
 )
 from .optimizer import bound_table
@@ -140,17 +144,6 @@ def griesmer_lower_poly(params, r) -> Poly:
     return p
 
 
-def gaussian_binomial(n, r, q) -> int:
-    """Number of r-dimensional subspaces of GF(q)^n."""
-    num = 1
-    den = 1
-    for i in range(r):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    assert num % den == 0
-    return num // den
-
-
 def weight_table(params, q=None, guard=DEFAULT_IDEAL_GUARD):
     """WeightRecords for C(l,m), r = 1..k; intervals where d_r is open.
 
@@ -178,47 +171,51 @@ def weight_table(params, q=None, guard=DEFAULT_IDEAL_GUARD):
 # brute-force oracle: sweep codimension-r subspaces in reduced echelon form
 
 
-def _column_masks_q2(columns):
-    """Column vectors as bit-integers for the q = 2 fast path."""
-    out = []
-    for col in columns:
-        b = 0
-        for j, x in enumerate(col):
-            if x:
-                b |= 1 << j
-        out.append(b)
-    return out
+def _value_tables(field, columns, coords):
+    """Entry [h][v]: bitmask of the columns c with sum_j h_j c[coords[j]] = v.
+
+    h is read as base-q digits, lowest first.  Extending every h by a * e_j
+    splits its value masks by the columns' j-th entry: q^2 ANDs per entry.
+    """
+    q, add, mul = field.q, field._add, field._mul
+    table = [[(1 << len(columns)) - 1] + [0] * (q - 1)]
+    for j in coords:
+        parts = [0] * q
+        for ci, col in enumerate(columns):
+            parts[col[j]] |= 1 << ci
+        size = len(table)
+        for a in range(1, q):
+            times_a = mul[a]
+            for h in range(size):
+                new = [0] * q
+                for u, mask in enumerate(table[h]):
+                    if mask:
+                        plus_u = add[u]
+                        for b, part in enumerate(parts):
+                            new[plus_u[times_a[b]]] |= mask & part
+                table.append(new)
+    return table
 
 
-class _MaskCache:
-    """Memoizes, per functional row, the bitmask of annihilated columns."""
+def _zero_sets(field, columns, k):
+    """Function from a functional (a k-tuple) to the bitmask of the columns it
+    kills.  With the coordinates split at k // 2, h_lo + h_hi kills c exactly
+    when h_lo . c = -(h_hi . c): q ANDs of two value-table entries.
+    """
+    q, neg, s = field.q, field._neg, k // 2
+    lo = _value_tables(field, columns, range(s))
+    hi = _value_tables(field, columns, range(s, k))
+    place = [q ** j for j in range(k - s)]
 
-    def __init__(self, field, columns):
-        self.field = field
-        self.columns = columns
-        self.cache = {}
-        self.colbits = _column_masks_q2(columns) if field.q == 2 else None
+    def zero_set(row):
+        a = lo[sum(x * p for x, p in zip(row[:s], place))]
+        b = hi[sum(x * p for x, p in zip(row[s:], place))]
+        mask = 0
+        for v in range(q):
+            mask |= a[v] & b[neg[v]]
+        return mask
 
-    def mask(self, row):
-        got = self.cache.get(row)
-        if got is not None:
-            return got
-        mm = 0
-        if self.colbits is not None:
-            bits = 0
-            for j, x in enumerate(row):
-                if x:
-                    bits |= 1 << j
-            for ci, cb in enumerate(self.colbits):
-                if (bits & cb).bit_count() % 2 == 0:
-                    mm |= 1 << ci
-        else:
-            dot = self.field.dot
-            for ci, col in enumerate(self.columns):
-                if dot(row, col) == 0:
-                    mm |= 1 << ci
-        self.cache[row] = mm
-        return mm
+    return zero_set
 
 
 def _echelon_rows(field, k, pivots, i):
@@ -243,12 +240,17 @@ def _max_annihilated(field, columns, k, r):
     Subspaces are enumerated once each through their reduced echelon basis;
     a partial intersection that cannot beat the best count prunes its branch.
     """
-    cache = _MaskCache(field, columns)
+    if r == k:
+        # the whole dual space kills only zero columns; the value tables
+        # would cost q^(k/2) masks for this one-subspace sweep
+        identity = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        return sum(1 for col in columns if not any(col)), identity
+    zero_set = _zero_sets(field, columns, k)
     full = (1 << len(columns)) - 1
     best, witness = -1, None
     path = [None] * r
     for pivots in itertools.combinations(range(k), r):
-        levels = [[(row, cache.mask(row)) for row in _echelon_rows(field, k, pivots, i)]
+        levels = [[(row, zero_set(row)) for row in _echelon_rows(field, k, pivots, i)]
                   for i in range(r)]
 
         def rec(i, acc):
@@ -291,14 +293,6 @@ def oracle_dr(field, genmat, r, budget=DEFAULT_ORACLE_BUDGET) -> int:
 def min_weight_bruteforce(field, genmat) -> int:
     """Minimum nonzero codeword weight via a full message-space sweep."""
     k, cols = genmat.k, genmat.columns
-    if field.q == 2:
-        colbits = _column_masks_q2(cols)
-        best = None
-        for msg in range(1, 1 << k):
-            w = sum(1 for cb in colbits if (msg & cb).bit_count() % 2)
-            if best is None or w < best:
-                best = w
-        return best
     best = None
     for msg in itertools.product(field.elements(), repeat=k):
         if not any(msg):

@@ -275,6 +275,38 @@ def test_experiment_q4_golden(capsys, q):
     assert out == Q4_GOLDEN[q]
 
 
+# sha256 of stdout of `weights --l 2 --m 4 --q Q --oracle --format F`,
+# recorded when a functional's zero set came from one Field.dot per column
+ORACLE_GOLDEN = [
+    ("3", "markdown",
+     "05aeb2ee3ec9d08667648d96ac5e26df637db9d51c1db72fd2c7106b24834193"),
+    ("3", "csv",
+     "1c9dcd54f61ce8c79c7f4325e9da5e4c34efd3de07dcc896930cc951470f2fe0"),
+    ("3", "json",
+     "96801e1868c8257936945b413d9f716df4f069a3e8bdfaf0c3670fd544e859d7"),
+    ("4", "markdown",
+     "1d27834bb66ad51b3f6589187331bc6a96f024e39eb53f83f94f8ca8d548eb30"),
+    ("4", "csv",
+     "7914d9d4448c4796786a1914002389cf6c8d22178b708a01e795753144fdb798"),
+    ("4", "json",
+     "3639c5866bb84c654726c7b7efcebd50477d2f840dfc632fc67cd57a087274a3"),
+    ("5", "markdown",
+     "1c995f0665d04dceb795baf13ea9dec35ebc678f11214567948ed7411b434778"),
+    ("5", "csv",
+     "933d08b9e1586a90a94ae149195544ccf81af10470a70f659ec77702f6470400"),
+    ("5", "json",
+     "45d5acba70faae714eecbc1fb31b833811782eb2bee1293a45c999c683ddebb7"),
+]
+
+
+@pytest.mark.parametrize("q,fmt,digest", ORACLE_GOLDEN)
+def test_weights_oracle_golden(capsys, q, fmt, digest):
+    code, out, _ = run_cli(["weights", "--l", "2", "--m", "4", "--q", q,
+                            "--oracle", "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_experiment_q8_golden(capsys):
     code, out, _ = run_cli(["experiment", "Q8", "--l", "2", "--m", "10",
                             "--guard", "45", "--format", "json"], capsys)

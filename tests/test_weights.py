@@ -1,5 +1,10 @@
-import pytest
+import itertools
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from schubert_unions import weights
 from schubert_unions.gf import Field
 from schubert_unions.grassgrid import (
     GrassParams,
@@ -24,6 +29,7 @@ from schubert_unions.weights import (
     top_weights,
     union_code_params,
     weight_table,
+    _zero_sets,
 )
 
 from table_fixtures import DELTA_TABLES
@@ -135,6 +141,16 @@ def test_oracle_c24_q2_spot():
     for r in (0, 7):
         with pytest.raises(ValueError):
             oracle_dr(f2, gm, r)
+
+
+def test_oracle_full_rank_builds_no_tables(monkeypatch):
+    # r = k has one subspace; tables of q^(k/2) masks would dwarf it
+    def no_tables(*args):
+        raise AssertionError("value tables built for r = k")
+    monkeypatch.setattr(weights, "_value_tables", no_tables)
+    f2 = Field(2)
+    gm = generator_matrix(f2, GrassParams(2, 7))
+    assert oracle_dr(f2, gm, gm.k) == gm.n == 2667
 
 
 def test_oracle_budget():
@@ -251,10 +267,57 @@ def test_griesmer_and_sandwich_invariants():
 
 
 def test_formula_oracle_agreement_c24():
-    f2, f3 = Field(2), Field(3)
+    # q = 4 runs the oracle over an extension field
     params = GrassParams(2, 4)
     known = {rec.r: rec.value for rec in weight_table(params)}
-    for field in (f2, f3):
+    for field in map(Field, (2, 3, 4, 5)):
         gm = generator_matrix(field, params)
         for r in range(1, 7):
             assert oracle_dr(field, gm, r) == known[r](field.q)
+
+
+def test_oracle_c25_q3_head():
+    # Nogin: d_1 = q^delta = 3^6, under the default budget
+    f3 = Field(3)
+    assert oracle_dr(f3, generator_matrix(f3, GrassParams(2, 5)), 1) == 729
+
+
+def _dot_scan(field, columns, row):
+    return sum(1 << ci for ci, col in enumerate(columns)
+               if field.dot(row, col) == 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_zero_sets_match_dot_scan(q):
+    # every functional for q <= 4, a seeded sample over F_8 and F_9
+    field = Field(q)
+    gm = generator_matrix(field, GrassParams(2, 4))
+    zero_set = _zero_sets(field, gm.columns, gm.k)
+    if q <= 4:
+        rows = itertools.product(field.elements(), repeat=gm.k)
+    else:
+        rng = random.Random(q)
+        rows = [tuple(rng.randrange(q) for _ in range(gm.k)) for _ in range(200)]
+    for row in rows:
+        assert zero_set(row) == _dot_scan(field, gm.columns, row), row
+
+
+@st.composite
+def small_union_codes(draw):
+    """A nonempty Schubert union of G(2,4), G(2,5) or G(3,5) and a q with
+    q^span <= 4096, so the message sweep stays cheap."""
+    params = draw(st.sampled_from(
+        [GrassParams(2, 4), GrassParams(2, 5), GrassParams(3, 5)]))
+    q = draw(st.sampled_from([2, 3, 4]))
+    unions = [u for u in enumerate_ideals(params)
+              if u.maxima and q ** u.span() <= 4096]
+    return params, q, draw(st.sampled_from(unions))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(small_union_codes())
+def test_oracle_d1_is_min_weight(case):
+    params, q, union = case
+    field = Field(q)
+    gm = generator_matrix(field, params, union)
+    assert oracle_dr(field, gm, 1) == min_weight_bruteforce(field, gm)
