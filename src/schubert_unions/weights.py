@@ -197,25 +197,32 @@ def _value_tables(field, columns, coords):
     return table
 
 
-def _zero_sets(field, columns, k):
-    """Function from a functional (a k-tuple) to the bitmask of the columns it
-    kills.  With the coordinates split at k // 2, h_lo + h_hi kills c exactly
-    when h_lo . c = -(h_hi . c): q ANDs of two value-table entries.
+class _MaskCache:
+    """Memoizes, per functional row, the bitmask of the columns it kills.
+
+    With the k coordinates split at k // 2, h_lo + h_hi kills column c
+    exactly when h_lo . c = -(h_hi . c): a new row costs q ANDs of two
+    value-table entries (hi stored at -v; the q masks of lo[h] are
+    disjoint, so their sum is their OR).  Echelon rows recur across pivot
+    sets.
     """
-    q, neg, s = field.q, field._neg, k // 2
-    lo = _value_tables(field, columns, range(s))
-    hi = _value_tables(field, columns, range(s, k))
-    place = [q ** j for j in range(k - s)]
 
-    def zero_set(row):
-        a = lo[sum(x * p for x, p in zip(row[:s], place))]
-        b = hi[sum(x * p for x, p in zip(row[s:], place))]
-        mask = 0
-        for v in range(q):
-            mask |= a[v] & b[neg[v]]
-        return mask
+    def __init__(self, field, columns, k):
+        s = self.split = k // 2
+        self.lo = _value_tables(field, columns, range(s))
+        self.hi = [[masks[u] for u in field._neg]
+                   for masks in _value_tables(field, columns, range(s, k))]
+        self.place = [field.q ** j for j in range(k - s)]
+        self.cache = {}
 
-    return zero_set
+    def mask(self, row):
+        got = self.cache.get(row)
+        if got is None:
+            s, place = self.split, self.place
+            a = self.lo[sum(x * p for x, p in zip(row[:s], place))]
+            b = self.hi[sum(x * p for x, p in zip(row[s:], place))]
+            got = self.cache[row] = sum(x & y for x, y in zip(a, b))
+        return got
 
 
 def _echelon_rows(field, k, pivots, i):
@@ -245,12 +252,12 @@ def _max_annihilated(field, columns, k, r):
         # would cost q^(k/2) masks for this one-subspace sweep
         identity = [tuple(int(i == j) for j in range(k)) for i in range(k)]
         return sum(1 for col in columns if not any(col)), identity
-    zero_set = _zero_sets(field, columns, k)
+    cache = _MaskCache(field, columns, k)
     full = (1 << len(columns)) - 1
     best, witness = -1, None
     path = [None] * r
     for pivots in itertools.combinations(range(k), r):
-        levels = [[(row, zero_set(row)) for row in _echelon_rows(field, k, pivots, i)]
+        levels = [[(row, cache.mask(row)) for row in _echelon_rows(field, k, pivots, i)]
                   for i in range(r)]
 
         def rec(i, acc):

@@ -2,7 +2,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from schubert_unions import weights
 from schubert_unions.gf import Field
@@ -29,7 +28,7 @@ from schubert_unions.weights import (
     top_weights,
     union_code_params,
     weight_table,
-    _zero_sets,
+    _MaskCache,
 )
 
 from table_fixtures import DELTA_TABLES
@@ -292,7 +291,7 @@ def test_zero_sets_match_dot_scan(q):
     # every functional for q <= 4, a seeded sample over F_8 and F_9
     field = Field(q)
     gm = generator_matrix(field, GrassParams(2, 4))
-    zero_set = _zero_sets(field, gm.columns, gm.k)
+    zero_set = _MaskCache(field, gm.columns, gm.k).mask
     if q <= 4:
         rows = itertools.product(field.elements(), repeat=gm.k)
     else:
@@ -300,24 +299,3 @@ def test_zero_sets_match_dot_scan(q):
         rows = [tuple(rng.randrange(q) for _ in range(gm.k)) for _ in range(200)]
     for row in rows:
         assert zero_set(row) == _dot_scan(field, gm.columns, row), row
-
-
-@st.composite
-def small_union_codes(draw):
-    """A nonempty Schubert union of G(2,4), G(2,5) or G(3,5) and a q with
-    q^span <= 4096, so the message sweep stays cheap."""
-    params = draw(st.sampled_from(
-        [GrassParams(2, 4), GrassParams(2, 5), GrassParams(3, 5)]))
-    q = draw(st.sampled_from([2, 3, 4]))
-    unions = [u for u in enumerate_ideals(params)
-              if u.maxima and q ** u.span() <= 4096]
-    return params, q, draw(st.sampled_from(unions))
-
-
-@settings(derandomize=True, deadline=None, max_examples=30)
-@given(small_union_codes())
-def test_oracle_d1_is_min_weight(case):
-    params, q, union = case
-    field = Field(q)
-    gm = generator_matrix(field, params, union)
-    assert oracle_dr(field, gm, 1) == min_weight_bruteforce(field, gm)
