@@ -8,7 +8,11 @@ Schubert-union bound.  A brute-force oracle sweeps all codimension-r
 subspaces in reduced echelon form and is exact wherever it is affordable.
 A functional's zero set comes from value masks of the two halves of the
 message coordinates, the same path for every q: q ANDs of column bitmasks
-instead of one dot product per column.
+instead of one dot product per column.  The sweep ends at the first leaf
+that reaches a proven ceiling, the smaller of a projective cap (the killed
+columns lie in a (k-r)-dimensional annihilator) and a generalized Griesmer
+cap (d_r >= sum of ceil(d_1/q^i), i < r), so its best count and witness are
+those of the full sweep.
 """
 
 from __future__ import annotations
@@ -209,6 +213,7 @@ class _MaskCache:
 
     def __init__(self, field, columns, k):
         s = self.split = k // 2
+        self.n = len(columns)
         self.lo = _value_tables(field, columns, range(s))
         self.hi = [[masks[u] for u in field._neg]
                    for masks in _value_tables(field, columns, range(s, k))]
@@ -239,29 +244,42 @@ def _echelon_rows(field, k, pivots, i):
     return rows
 
 
-def _max_annihilated(field, columns, k, r):
-    """(best, witness): the most columns killed by an r-dimensional space of
-    functionals, 1 <= r <= k, and the reduced echelon basis of the first
-    such space in sweep order.
+def _projective_cap(field, columns, k, r):
+    """The most columns an r-dimensional space of functionals can kill,
+    counted through projective points.
 
-    Subspaces are enumerated once each through their reduced echelon basis;
-    a partial intersection that cannot beat the best count prunes its branch.
+    The killed columns lie in the annihilator, a (k-r)-dimensional space
+    with theta = (q^(k-r) - 1)/(q - 1) projective points, so at most the
+    zero columns and the theta largest classes of proportional columns.
     """
-    if r == k:
-        # the whole dual space kills only zero columns; the value tables
-        # would cost q^(k/2) masks for this one-subspace sweep
-        identity = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-        return sum(1 for col in columns if not any(col)), identity
-    cache = _MaskCache(field, columns, k)
-    full = (1 << len(columns)) - 1
-    best, witness = -1, None
+    q, inv, mul = field.q, field._inv, field._mul
+    zeros = 0
+    points = {}
+    for col in columns:
+        lead = next((x for x in col if x), 0)
+        if not lead:
+            zeros += 1
+            continue
+        scale = mul[inv[lead]]
+        point = tuple(scale[x] for x in col)
+        points[point] = points.get(point, 0) + 1
+    sizes = sorted(points.values(), reverse=True)
+    return zeros + sum(sizes[:(q ** (k - r) - 1) // (q - 1)])
+
+
+def _sweep(field, cache, k, r, ceiling):
+    """(best, witness) of the r-sweep; stops at the first leaf whose count
+    reaches ceiling(first leaf's count), a proven bound on every count."""
+    full = (1 << cache.n) - 1
+    best, witness, cap = -1, None, None
     path = [None] * r
     for pivots in itertools.combinations(range(k), r):
         levels = [[(row, cache.mask(row)) for row in _echelon_rows(field, k, pivots, i)]
                   for i in range(r)]
 
         def rec(i, acc):
-            nonlocal best, witness
+            """True once best reaches the cap."""
+            nonlocal best, witness, cap
             last = i == r - 1
             for row, mask in levels[i]:
                 sub = acc & mask
@@ -271,11 +289,49 @@ def _max_annihilated(field, columns, k, r):
                 path[i] = row
                 if last:
                     best, witness = count, list(path)
-                else:
-                    rec(i + 1, sub)
+                    if cap is None:
+                        cap = ceiling(best)
+                    assert best <= cap, f"r={r}: {best} columns killed, cap {cap}"
+                    if best == cap:
+                        return True
+                elif rec(i + 1, sub):
+                    return True
+            return False
 
-        rec(0, full)
+        if rec(0, full):
+            break
     return best, witness
+
+
+def _max_annihilated(field, columns, k, r):
+    """(best, witness): the most columns killed by an r-dimensional space of
+    functionals, 1 <= r <= k, and the reduced echelon basis of the first
+    such space in sweep order.
+
+    Subspaces are enumerated once each through their reduced echelon basis;
+    a partial intersection that cannot beat the best count prunes its branch.
+    The sweep ends at the first leaf that reaches min(projective cap,
+    Griesmer cap): an r-dimensional subcode punctured to its support is a
+    [d_r, r, >= d_1] code, so d_r >= griesmer_lower(d_1, r, q).  d_1 costs
+    one r = 1 sweep, paid only when the first leaf misses the projective cap.
+    """
+    if r == k:
+        # the whole dual space kills only zero columns; the value tables
+        # would cost q^(k/2) masks for this one-subspace sweep
+        identity = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        return sum(1 for col in columns if not any(col)), identity
+    cache = _MaskCache(field, columns, k)
+    n = len(columns)
+
+    def ceiling(first):
+        cap = _projective_cap(field, columns, k, r)
+        if r == 1 or first == cap:
+            return cap
+        d1_cap = _projective_cap(field, columns, k, 1)
+        d1 = n - _sweep(field, cache, k, 1, lambda _first: d1_cap)[0]
+        return min(cap, n - griesmer_lower(d1, r, field.q))
+
+    return _sweep(field, cache, k, r, ceiling)
 
 
 def check_oracle_budget(k, q, rs, budget):
@@ -284,7 +340,7 @@ def check_oracle_budget(k, q, rs, budget):
         count = gaussian_binomial(k, r, q)
         if count > budget:
             raise BudgetExceeded(
-                f"sweep needs {count} subspaces, budget is {budget}")
+                f"r={r} sweep needs {count} subspaces, budget is {budget}")
 
 
 def oracle_dr(field, genmat, r, budget=DEFAULT_ORACLE_BUDGET) -> int:

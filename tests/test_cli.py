@@ -307,6 +307,24 @@ def test_weights_oracle_golden(capsys, q, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout of `experiment Q4 --l 2 --m 5 --q 2 --oracle-budget
+# 200000000 --format F`, recorded when every oracle sweep ran to its end;
+# the dual-section counts follow the witness, so the early stop must keep it
+Q4_C25_GOLDEN = [
+    ("markdown", "65fb51a148f3600ccd53f2861acded4078cd836018e3e7cc7b9a5dd45ab41320"),
+    ("json", "f213dbb6fc7312dc9b9493ba8b5ae1a2708f7992675f9e246377026d957953b7"),
+]
+
+
+@pytest.mark.parametrize("fmt,digest", Q4_C25_GOLDEN)
+def test_experiment_q4_c25_golden(capsys, fmt, digest):
+    code, out, _ = run_cli(["experiment", "Q4", "--l", "2", "--m", "5",
+                            "--q", "2", "--oracle-budget", "200000000",
+                            "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_experiment_q8_golden(capsys):
     code, out, _ = run_cli(["experiment", "Q8", "--l", "2", "--m", "10",
                             "--guard", "45", "--format", "json"], capsys)
@@ -390,3 +408,15 @@ def test_budget_checked_before_any_sweep(capsys, monkeypatch, argv):
     code, out, err = run_cli(argv, capsys)
     assert code == 3 and out == ""
     assert "budget" in err
+
+
+@pytest.mark.parametrize("argv,needs", [
+    (["experiment", "Q4", "--l", "2", "--m", "5", "--q", "2",
+      "--oracle-budget", "100000000"], "r=5 sweep needs 109221651 subspaces"),
+    (["weights", "--l", "2", "--m", "5", "--q", "2", "--oracle", "--r-range", "1:4"],
+     "r=4 sweep needs 53743987 subspaces"),
+])
+def test_budget_refusal_names_r(capsys, argv, needs):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert needs in err

@@ -21,6 +21,7 @@ from schubert_unions.weights import (
     delta_table,
     gaussian_binomial,
     griesmer_lower,
+    known_dr,
     min_weight_bruteforce,
     nogin_weights,
     oracle_dr,
@@ -29,6 +30,7 @@ from schubert_unions.weights import (
     union_code_params,
     weight_table,
     _MaskCache,
+    _echelon_rows,
 )
 
 from table_fixtures import DELTA_TABLES
@@ -155,16 +157,96 @@ def test_oracle_full_rank_builds_no_tables(monkeypatch):
 def test_oracle_budget():
     f2 = Field(2)
     gm = generator_matrix(f2, GrassParams(2, 4))
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="r=3 sweep needs 1395 subspaces"):
         oracle_dr(f2, gm, 3, budget=100)
 
 
 def test_oracle_c25_optional_deep_values():
-    # affordable here thanks to branch-and-bound pruning; d_5 = 136
+    # r=4 (5*10^7 subspaces) stops at its first leaf, which meets the Griesmer
+    # cap; r=5 (10^8) has no tight cap and rests on branch-and-bound pruning
     f2 = Field(2)
     gm = generator_matrix(f2, GrassParams(2, 5))
     assert oracle_dr(f2, gm, 4, budget=2 * 10 ** 8) == 120
     assert oracle_dr(f2, gm, 5, budget=2 * 10 ** 8) == d5_c25()(2)
+
+
+def test_oracle_c25_q3_capped_reach():
+    # 7*10^7 to 5*10^11 subspaces, each sweep ended by a tight cap: the
+    # Griesmer cap for the head, the projective cap for the tail
+    f3 = Field(3)
+    params = GrassParams(2, 5)
+    gm = generator_matrix(f3, params)
+    known = known_dr(params)
+    for r in (2, 3, 4, 7, 8):
+        assert oracle_dr(f3, gm, r, budget=10 ** 12) == known[r][0](3), r
+
+
+def test_oracle_stops_at_first_maximiser(monkeypatch):
+    # C(2,5) over F_2 at r=7: the first leaf kills |P^2| = 7 columns, the
+    # projective cap, so only the first pivot set's 7 levels are built
+    calls = []
+    echelon_rows = weights._echelon_rows
+
+    def counted(*args):
+        calls.append(args[2])
+        return echelon_rows(*args)
+
+    monkeypatch.setattr(weights, "_echelon_rows", counted)
+    f2 = Field(2)
+    gm = generator_matrix(f2, GrassParams(2, 5))
+    assert oracle_dr(f2, gm, 7) == gm.n - 7
+    assert calls == [tuple(range(7))] * 7
+
+
+def _uncapped_max_annihilated(field, columns, k, r):
+    """The oracle sweep without ceilings: the reference for the capped one."""
+    if r == k:
+        # the whole dual space kills only zero columns; the value tables
+        # would cost q^(k/2) masks for this one-subspace sweep
+        identity = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        return sum(1 for col in columns if not any(col)), identity
+    cache = _MaskCache(field, columns, k)
+    full = (1 << len(columns)) - 1
+    best, witness = -1, None
+    path = [None] * r
+    for pivots in itertools.combinations(range(k), r):
+        levels = [[(row, cache.mask(row)) for row in _echelon_rows(field, k, pivots, i)]
+                  for i in range(r)]
+
+        def rec(i, acc):
+            nonlocal best, witness
+            last = i == r - 1
+            for row, mask in levels[i]:
+                sub = acc & mask
+                count = sub.bit_count()
+                if count <= best:
+                    continue
+                path[i] = row
+                if last:
+                    best, witness = count, list(path)
+                else:
+                    rec(i + 1, sub)
+
+        rec(0, full)
+    return best, witness
+
+
+REFERENCE_CASES = (
+    [((2, 4), q, r) for q in (2, 3, 4, 5) for r in range(1, 7)]
+    + [((2, 5), 2, r) for r in (1, 2, 3, 4, 7, 8, 9, 10)]
+    + [((1, 4), 3, r) for r in range(1, 5)]
+    + [((1, 5), 2, r) for r in range(1, 6)]
+    + [((3, 5), 2, r) for r in (1, 2, 8, 9, 10)]
+)
+
+
+@pytest.mark.parametrize("lm,q,r", REFERENCE_CASES)
+def test_capped_sweep_matches_uncapped(lm, q, r):
+    # same best count and same witness: the caps only cut the proof short
+    field = Field(q)
+    gm = generator_matrix(field, GrassParams(*lm))
+    assert (weights._max_annihilated(field, gm.columns, gm.k, r)
+            == _uncapped_max_annihilated(field, gm.columns, gm.k, r))
 
 
 def test_min_weight_matches_oracle_d1():
