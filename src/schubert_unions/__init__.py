@@ -6,12 +6,10 @@ dimension, and Grassmann / Schubert-union codes with their higher weights.
 """
 
 from .duality import (
-    DualityReport,
     ReciprocityViolation,
     dual_point_count,
     dual_union,
     dual_union_explicit,
-    duality_report,
     rev,
 )
 from .gf import Field
@@ -39,7 +37,6 @@ from .optimizer import (
     admissible,
     best_union,
     bound_table,
-    candidates,
     exhaustive_bound_table,
     krull_C,
     krull_dK,

@@ -20,7 +20,7 @@ from .grassgrid import (
     TooLarge,
     enumerate_ideals,
 )
-from .twodim import EmptyUnion, NotTwoDim
+from .twodim import NotTwoDim
 from .weights import BudgetExceeded
 
 GUARD_ENV = "SCHUBERT_UNIONS_GUARD"
@@ -85,13 +85,14 @@ def cmd_enumerate(args, out):
 def cmd_dual(args, out):
     params = GrassParams(args.l, args.m)
     u = _parse_union(params, args.union)
-    report = duality.duality_report(u)
-    explicit = duality.dual_union_explicit(u)
+    dual = duality.dual_union(u)
     if args.format == "json":
-        out.write(report.to_json() + "\n")
+        out.write(json.dumps({"l": params.l, "m": params.m, "maxima": u.maxima,
+                              "dual_maxima": dual.maxima, "span_primal": u.span(),
+                              "span_dual": dual.span()}) + "\n")
     else:
-        rows = [(u.label(), report.dual.label(), explicit.label(),
-                 report.span_primal, report.span_dual)]
+        rows = [(u.label(), dual.label(), duality.dual_union_explicit(u).label(),
+                 u.span(), dual.span())]
         _emit_table(["U", "Dual", "Dual (explicit)", "Span", "Dual span"],
                     rows, args.format, out)
     return 0
@@ -158,15 +159,12 @@ def cmd_krull(args, out):
     return 0
 
 
-def cmd_genmatrix(args, out, binary_out):
+def cmd_genmatrix(args, out):
     params = GrassParams(args.l, args.m)
     field = gf.Field(args.q)
     union = _parse_union(params, args.union) if args.union else None
     genmat = pluecker.generator_matrix(field, params, union, args.point_guard)
-    if args.binary:
-        pluecker.write_binary(genmat, binary_out)
-    else:
-        pluecker.write_text(genmat, out)
+    (pluecker.write_binary if args.binary else pluecker.write_text)(genmat, out)
     return 0
 
 
@@ -191,46 +189,33 @@ def cmd_weights(args, out):
         wanted = _parse_r_range(args.r_range, u.span())
         result = weights.union_code_params(u, field or gf.Field(2), args.guard)
         records = [rec for rec in result["records"] if rec.r in wanted]
-        rows = [(rec.r,
-                 rec.value if rec.value is not None else "-",
-                 rec.lower if rec.value is None else "-",
-                 rec.upper if rec.value is None else "-",
-                 rec.source) for rec in records]
-        if args.format == "json":
-            out.write(json.dumps({
-                "n": result["n"], "k": result["k"], "d1": result["d1"],
-                "records": [rec.as_dict() for rec in records],
-            }) + "\n")
-        else:
-            out.write(f"n={result['n']} k={result['k']} d1={result['d1']}\n")
-            _emit_table(["r", "d_r", "lower", "upper", "source"],
-                        rows, args.format, out)
-        return 0
-    q = args.q
-    wanted = _parse_r_range(args.r_range, params.k)
-    records = weights.weight_table(params, q, args.guard)
-    records = [rec for rec in records if rec.r in wanted]
-    if args.oracle:
-        if field is None:
-            raise ValueError("--oracle needs --q")
-        weights.check_oracle_budget(params.k, q, wanted, args.oracle_budget)
-        genmat = pluecker.generator_matrix(field, params, None, args.point_guard)
-        records = [
-            weights.WeightRecord(rec.r,
-                                 weights.oracle_dr(field, genmat, rec.r,
-                                                   args.oracle_budget),
-                                 source="Oracle")
-            for rec in records
-        ]
-    rows = [(rec.r,
-             str(rec.value) if rec.value is not None else "-",
-             str(rec.lower) if rec.value is None else "-",
-             str(rec.upper) if rec.value is None else "-",
-             rec.source) for rec in records]
-    if args.format == "json":
-        out.write(json.dumps([rec.as_dict() for rec in records]) + "\n")
+        head = {key: result[key] for key in ("n", "k", "d1")}
     else:
-        _emit_table(["r", "d_r", "lower", "upper", "source"], rows, args.format, out)
+        wanted = _parse_r_range(args.r_range, params.k)
+        head = None
+        if not args.oracle:
+            records = [rec for rec in weights.weight_table(params, args.q, args.guard)
+                       if rec.r in wanted]
+        elif field is None:
+            raise ValueError("--oracle needs --q")
+        else:
+            weights.check_oracle_budget(params.k, args.q, wanted, args.oracle_budget)
+            genmat = pluecker.generator_matrix(field, params, None, args.point_guard)
+            records = [weights.WeightRecord(
+                r, weights.oracle_dr(field, genmat, r, args.oracle_budget),
+                source="Oracle") for r in wanted]
+    if args.format == "json":
+        dicts = [rec.as_dict() for rec in records]
+        out.write(json.dumps(dicts if head is None else {**head, "records": dicts}) + "\n")
+        return 0
+    if head is not None:
+        out.write(" ".join(f"{key}={value}" for key, value in head.items()) + "\n")
+    rows = [(rec.r,
+             rec.value if rec.value is not None else "-",
+             rec.lower if rec.value is None else "-",
+             rec.upper if rec.value is None else "-",
+             rec.source) for rec in records]
+    _emit_table(["r", "d_r", "lower", "upper", "source"], rows, args.format, out)
     return 0
 
 
@@ -238,17 +223,18 @@ def cmd_weights(args, out):
 # experiments
 
 
+def _reciprocity(seq, delta):
+    """Verdict and the r whose entry seq[r-1] is not q^delta * seq[k-r](1/q)."""
+    bad = [r for r, (p, partner) in enumerate(zip(seq, reversed(seq)), start=1)
+           if partner.degree > delta or p != partner.reversed_within(delta)]
+    return ("affirmative" if not bad else f"negative (witness r={bad})"), bad
+
+
 def experiment_q3(params):
     table = weights.delta_table(params)
     if any(rec.value is None for rec in table):
         return "undetermined (middle weights open)", []
-    delta = params.delta
-    bad = []
-    for rec in table:
-        partner = table[params.k - rec.r]
-        if rec.value != partner.value.reversed_within(delta):
-            bad.append(rec.r)
-    return ("affirmative" if not bad else f"negative (witness r={bad})"), bad
+    return _reciprocity([rec.value for rec in table], params.delta)
 
 
 def experiment_q8(params, guard):
@@ -267,14 +253,7 @@ def experiment_q8(params, guard):
 
 def experiment_q9(params, guard):
     table = optimizer.bound_table(params, guard)
-    delta = params.delta
-    bad = []
-    for r in range(1, params.k + 1):
-        e = table.row(r).E
-        partner = table.row(params.k + 1 - r).E
-        if partner.degree > delta or e != partner.reversed_within(delta):
-            bad.append(r)
-    return ("affirmative" if not bad else f"negative (witness r={bad})"), bad
+    return _reciprocity([table.row(r).E for r in range(1, params.k + 1)], params.delta)
 
 
 def experiment_q4(params, q, budget, point_guard):
@@ -323,8 +302,7 @@ def cmd_experiment(args, out):
     if args.format == "json":
         out.write(json.dumps({"question": args.question, "l": args.l,
                               "m": args.m, "verdict": verdict,
-                              "detail": detail if args.question != "Q4"
-                              else [list(t) for t in detail]}) + "\n")
+                              "detail": detail}) + "\n")
     else:
         out.write(f"{args.question} for ({args.l},{args.m}): {verdict}\n")
         if args.question == "Q4":
@@ -430,6 +408,7 @@ HANDLERS = {
     "bounds": cmd_bounds,
     "directions": cmd_directions,
     "krull": cmd_krull,
+    "genmatrix": cmd_genmatrix,
     "weights": cmd_weights,
     "experiment": cmd_experiment,
 }
@@ -440,23 +419,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _resolve_defaults(args)
-        if args.command == "genmatrix":
-            if args.out:
-                mode = "wb" if args.binary else "w"
-                with _open_out(args.out, mode) as fh:
-                    return cmd_genmatrix(args, fh, fh)
-            if args.binary:
-                return cmd_genmatrix(args, None, sys.stdout.buffer)
-            return cmd_genmatrix(args, sys.stdout, None)
         handler = HANDLERS[args.command]
+        binary = getattr(args, "binary", False)
         if args.out:
-            with _open_out(args.out, "w") as fh:
+            with _open_out(args.out, "wb" if binary else "w") as fh:
                 return handler(args, fh)
-        return handler(args, sys.stdout)
+        return handler(args, sys.stdout.buffer if binary else sys.stdout)
     except (TooLarge, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, NotTwoDim, EmptyUnion) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,8 +9,6 @@ polynomial q^delta * h_U(1/q).
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
 
 from .grassgrid import (
     Poly,
@@ -33,7 +31,7 @@ def dual_union(union: SchubertUnion) -> SchubertUnion:
     """Dual union: its ideal is the rev image of H_U."""
     params = union.params
     pts = {rev(params, beta) for beta in union.h_ideal()}
-    return canonicalize(params, pts, check=False)
+    return canonicalize(params, pts)
 
 
 def dual_union_explicit(union: SchubertUnion) -> SchubertUnion:
@@ -70,7 +68,7 @@ def dual_union_explicit(union: SchubertUnion) -> SchubertUnion:
     pts = set()
     for c in cycles:
         pts |= SchubertUnion.cycle(params, c).ideal()
-    return canonicalize(params, pts, check=False)
+    return canonicalize(params, pts)
 
 
 def dual_point_count(union: SchubertUnion) -> Poly:
@@ -81,26 +79,3 @@ def dual_point_count(union: SchubertUnion) -> Poly:
         raise ReciprocityViolation(
             f"h_U has degree {h.degree} > delta {params.delta}")
     return h.reversed_within(params.delta)
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    union: SchubertUnion
-    dual: SchubertUnion
-    span_primal: int
-    span_dual: int
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "l": self.union.params.l,
-            "m": self.union.params.m,
-            "maxima": [list(a) for a in self.union.maxima],
-            "dual_maxima": [list(a) for a in self.dual.maxima],
-            "span_primal": self.span_primal,
-            "span_dual": self.span_dual,
-        })
-
-
-def duality_report(union: SchubertUnion) -> DualityReport:
-    d = dual_union(union)
-    return DualityReport(union, d, union.span(), d.span())

@@ -340,24 +340,21 @@ class SchubertUnion:
         return f"SchubertUnion({self.params.l},{self.params.m}; {self.label()})"
 
 
-def canonicalize(params, points, check=True):
+def canonicalize(params, points):
     """Union whose ideal is `points`; raises NotDownwardClosed unless an ideal.
 
     A downward-closed set is recognised by its lower covers, its maxima are
     the points with no upper cover in the set, and the set itself becomes
     the union's ideal: linear in the set's size.  Only a set that is not
-    downward closed takes the pairwise path, which returns the union its
-    maxima generate (check=False) or names the points missing below them.
+    downward closed takes the pairwise path, to name the points missing
+    below its maxima.
     """
     pts = frozenset(validate_point(params, p) for p in points)
     if all(b in pts for a in pts for b in lower_covers(a)):
         return SchubertUnion._from_down_set(params, pts)
     maxima = [a for a in pts if not any(a != b and point_leq(a, b) for b in pts)]
-    u = SchubertUnion(params, maxima)
-    if check and len(u.ideal()) != len(pts):
-        missing = sorted(u.ideal() - pts)
-        raise NotDownwardClosed(f"missing points below maxima, e.g. {missing[:3]}")
-    return u
+    missing = sorted(SchubertUnion(params, maxima).ideal() - pts)
+    raise NotDownwardClosed(f"missing points below maxima, e.g. {missing[:3]}")
 
 
 def down_sets(points):

@@ -38,7 +38,7 @@ def _first_cells(params, K, fill):
     _require_l2(params)
     if not (0 <= K <= params.k):
         raise ValueError(f"K={K} out of range 0..{params.k}")
-    return canonicalize(params, fill(params.m)[:K], check=False)
+    return canonicalize(params, fill(params.m)[:K])
 
 
 def left_candidate(params, K) -> SchubertUnion:
@@ -55,7 +55,7 @@ def best_union(params, K):
     """Winner among the two candidates and its direction 'L', 'R' or 'LR'.
 
     On a tie ('LR') the polynomials agree; the left union is returned.
-    Use candidates() when both unions are wanted.
+    Use left_candidate() and right_candidate() when both unions are wanted.
     """
     left, right = left_candidate(params, K), right_candidate(params, K)
     direction = _direction(left.point_count(), right.point_count())
@@ -79,10 +79,6 @@ def _running_counts(m, fill):
         counts[x + y - 3] += 1
         out.append(Poly(counts))
     return out
-
-
-def candidates(params, K):
-    return left_candidate(params, K), right_candidate(params, K)
 
 
 @dataclass(frozen=True)

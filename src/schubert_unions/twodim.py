@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .duality import dual_union
 from .grassgrid import GrassParams, SchubertUnion, canonicalize
 
 
@@ -80,7 +79,7 @@ def mset_to_union(mset: MSet) -> SchubertUnion:
     for col, cnt in enumerate(sorted(mset.elements, reverse=True), start=1):
         for j in range(cnt):
             pts.add((col, col + 1 + j))
-    return canonicalize(params, pts, check=False)
+    return canonicalize(params, pts)
 
 
 def mset_complement(mset: MSet) -> MSet:
@@ -126,8 +125,3 @@ def dual_sigma(sigma: SigmaSeq) -> SigmaSeq:
         raise EmptyUnion("the dual of the full grid is empty")
     t = len(seq) // 2
     return SigmaSeq(m, tuple(seq[:t]), tuple(reversed(seq[t:])))
-
-
-def dual_mset_via_union(mset: MSet) -> MSet:
-    """M-set of the dual union computed through the grid; equals the complement."""
-    return union_to_mset(dual_union(mset_to_union(mset)))

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from schubert_unions import weights
-from schubert_unions.cli import main
+from schubert_unions import duality, weights
+from schubert_unions.cli import FORMATS, main
 
 from table_fixtures import DIRECTIONS
 
@@ -15,6 +15,18 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stdout_bytes(monkeypatch, argv):
+    """Exit code and stdout bytes of one run, text and --binary writes alike."""
+    # a byte stream under a text layer, like the real stdout, so both the
+    # text writers and the --binary writer (stdout.buffer) land in `raw`
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(argv)
+    stdout.flush()
+    return code, raw.getvalue()
 
 
 def test_enumerate_markdown_deterministic(capsys):
@@ -150,15 +162,9 @@ GENMATRIX_GOLDEN = [
 
 @pytest.mark.parametrize("flags,digest", GENMATRIX_GOLDEN)
 def test_genmatrix_golden(monkeypatch, flags, digest):
-    # a byte stream under a text layer, like the real stdout, so both the
-    # text writer and the --binary writer (stdout.buffer) land in `raw`
-    raw = io.BytesIO()
-    stdout = io.TextIOWrapper(raw, encoding="utf-8")
-    monkeypatch.setattr(sys, "stdout", stdout)
-    code = main(["genmatrix", *flags.split()])
-    stdout.flush()
+    code, raw = stdout_bytes(monkeypatch, ["genmatrix", *flags.split()])
     assert code == 0
-    assert hashlib.sha256(raw.getvalue()).hexdigest() == digest
+    assert hashlib.sha256(raw).hexdigest() == digest
 
 
 def test_weights_json(capsys):
@@ -420,3 +426,141 @@ def test_budget_refusal_names_r(capsys, argv, needs):
     code, out, err = run_cli(argv, capsys)
     assert code == 3 and out == ""
     assert needs in err
+
+
+# sha256 of stdout in markdown, csv and json (in FORMATS order), recorded
+# while genmatrix had its own output branch, the weights command two row
+# builders and the dual JSON a report object of its own
+CLI_GOLDEN = {
+    "enumerate --l 2 --m 5": (
+        "a02d73b3a0774f2baae6b0c6acf998ca4592b92aa09b1e029891a713a3cb5d61",
+        "d481cb55ae36eb5d239f4dff0973fc6f586367c7a491b6d896ecb95972680fb9",
+        "0026bf8e449c78c0eac95925c0effdcbda976ae2d5b307a44c619276be981122",
+    ),
+    "enumerate --l 3 --m 6": (
+        "3160c4f65c02d8cb0a7fcf0a04d06103837e52a72dc90571838ca7d20b281295",
+        "f7a716e503c01013045a8040f29806899cb9660dc799b6ac709bd40f82289da6",
+        "092cced86bccdfc12ddea1cb8432ab64390f9369dacb65cc77b7bb2b40fe0cd5",
+    ),
+    "dual --l 2 --m 7 --union [[1,7],[3,5]]": (
+        "8ae84b1ccd19150637c55bf195fe900e372cf4a9410a67a4b1466be316e95b80",
+        "d868cc873e6e3e45735ec143f1a6eff7d0a690c5d863c09c137f5910d8ac2293",
+        "3f202e7f8710ad2f13f3c37bf99630fb47e14f678578a549c6918eac15184c08",
+    ),
+    "dual --l 3 --m 7 --union [[1,5,6],[2,4,7]]": (
+        "f661172d6fa6e7f5d69b140bdd0a0a29d4912cad8c67257bbe164ac07efc22cc",
+        "4eb64e3b306291622562cad47372fc88545dd9d2a65daa711f4178cf52a1fb73",
+        "cdd13c4a49f41f56de0ffacb02203a5023fb793537960cff4af91fed70281d83",
+    ),
+    "encode --l 2 --m 7 --union [[1,7],[3,5]]": (
+        "948e18438d68582176f87be67fc34adea24c5808a8118e2aedf19bc2d24aacad",
+        "6bbf44b52ed6ffa4bd99b6fe7a9654fbd75260f8575c0c6b7ddb21a78ae828df",
+        "6f15e1e271037aac5b0be5872912c77ed291e7aa0bbff60dfdbe206d27764c1b",
+    ),
+    "bounds --l 2 --m 6": (
+        "ffabb7f00e2c23643a2619953d9ec83b68b77422b838edc41efcf8c112c3fd90",
+        "207c6a8c03f5b493fc4e4beb64c158bfcc4522a4b4f3ce0b719d0d484f8fbdad",
+        "8380b3f0d180ac4774fd8257bbf2449171f34c4ab4d7a62c2e9204c27d4cdff6",
+    ),
+    "bounds --l 3 --m 6": (
+        "fe5cc5e419bb5a93dc27d62328bda0a2a7b2a6a1f7748e26aeb28182e3364046",
+        "37322693f26f334e57c426838606fb622f34c30723e26513cbbf53820eb99a17",
+        "3f2d935e063883178f9fd4db4c45b68de764f5f1c9a500a17c4ee659b160e7f3",
+    ),
+    "directions --l 2 --m 10": (
+        "47d5efd2eac322a053b4ec7a355cf06c5bfc2ff9b1c07de971897decc0ef388d",
+        "28343895e931b846c60e327d70229ee4454233e1312f831b17f48d92a3b0af9b",
+        "3de59c5cd4b1880a0559ae1af0bbf74ae3ca2941a320c6e1ec11ef1e5545eecb",
+    ),
+    "krull --l 2 --m 8": (
+        "fceb6b4829926a083ac8613e372f022ccc4e5ce3e517a4d0925273a59a185d45",
+        "ccc292eb3236fdf3a905d24e7e68175e242406d80d92cfdc863390bb003ae423",
+        "74b638c30fc62d5ff58476cbd05ae7c4ec6dbb4ec9238da7300ab77ae9904a4b",
+    ),
+    "krull --l 2 --m 8 --K 12": (
+        "d2e06f97a2f986f96ce7ae5a4c98dde22d9a9c498f597af5114fa7855020c851",
+        "30594d5f943062a1e2b32d5c358f080ae4d1451fe0212cef02fa294a1eb983bc",
+        "2f085563f4fd8d4b41ec2cf86873cfac5bf77cbca645680baa90672e178bef8a",
+    ),
+    "weights --l 2 --m 6 --q 3": (
+        "76e3d88566a2f80f9261465472137c29b535dfd37bd2edd8aebb8f8b25163237",
+        "577ec7cb970cfb329c850c10e9e8367a9d25154ae5df58dd260138a024debfaf",
+        "5bbbb1e17e9c887c622ad2865160612a3e6e649be6ea13a27b5a14f98a79475a",
+    ),
+    "weights --l 2 --m 5 --q 2 --union [[1,5],[2,3]]": (
+        "62b25ac2588f084c64ceafd7429f534e4623b63bfcefc4f78aa62c2cf836d5c1",
+        "be1af4fcd134ce4d7d6e9a26a1106e3ac7ffc03193124bebd38dc9b540d63b18",
+        "62e5c6c6527033398da0a9e52d84a9836fce8608cadc39ff4e8a12c535217291",
+    ),
+    "weights --l 2 --m 5 --q 2 --union [[1,5],[2,3]] --r-range 2:3": (
+        "f86e8146372c9a5c96049640e9188ef81479a2e066fba46dbeab05a5ddbfa1fa",
+        "4002af8446cdaa9db336dfa4e15af9618a12bdd204dd155c670146601be29973",
+        "9003c420955ef4f655c952a68b87590408096b9738c933c3ce664402306eb59e",
+    ),
+    "experiment Q3 --l 2 --m 4": (
+        "5c4301f9040495049b5050b0f8f5500af476e9efccf2c3405baf3f92c7891fce",
+        "5c4301f9040495049b5050b0f8f5500af476e9efccf2c3405baf3f92c7891fce",
+        "754385683b1a06b975a390e3d59a25b003a9ba3734ff71dc776954e4783d9af2",
+    ),
+    "experiment Q8 --l 2 --m 8": (
+        "8d999b36a530f5b1924556993d399bc47f88ace7c2919ff63be31be456c0851c",
+        "8d999b36a530f5b1924556993d399bc47f88ace7c2919ff63be31be456c0851c",
+        "5e22c8c3637fb2914f35dcc8021c78dc4dd1695e7d3babf96d5fa1a9a3c010d3",
+    ),
+    "experiment Q9 --l 2 --m 10": (
+        "4fac0f07f8d99b0e1bb0d4ffceb54a9e7867400303cd83f688931e4a578ccf67",
+        "4fac0f07f8d99b0e1bb0d4ffceb54a9e7867400303cd83f688931e4a578ccf67",
+        "f952048d677b811b27a7ab2de4ea6d709f833adf10c634ece89582f375318e01",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("flags", list(CLI_GOLDEN))
+def test_cli_golden(capsys, flags, fmt):
+    code, out, _ = run_cli([*flags.split(), "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        CLI_GOLDEN[flags][FORMATS.index(fmt)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--l", "2", "--m", "5"],
+    ["weights", "--l", "2", "--m", "5", "--q", "2", "--union", "[[1,5],[2,3]]",
+     "--format", "csv"],
+    ["genmatrix", "--l", "2", "--m", "4", "--q", "3"],
+    ["genmatrix", "--l", "2", "--m", "4", "--q", "3", "--union", "[[2,4]]", "--binary"],
+])
+def test_out_writes_stdout_bytes(monkeypatch, tmp_path, argv):
+    code, raw = stdout_bytes(monkeypatch, argv)
+    path = tmp_path / "out"
+    assert code == 0 and main([*argv, "--out", str(path)]) == 0
+    assert path.read_bytes() == raw
+
+
+def test_weights_oracle_ignores_ideal_guard(capsys, monkeypatch):
+    # the oracle sweeps the generator matrix; G(3,7) has 35 grid points, over
+    # the default ideal guard, but the oracle enumerates no ideals
+    def no_table(*args):
+        raise AssertionError("weights --oracle built the bound table")
+    monkeypatch.setattr(weights, "weight_table", no_table)
+    monkeypatch.delenv("SCHUBERT_UNIONS_GUARD", raising=False)
+    code, out, err = run_cli(["weights", "--l", "3", "--m", "7", "--q", "2",
+                              "--oracle", "--r-range", "35:35", "--format", "json"],
+                             capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [{"r": 35, "source": "Oracle", "value": 11811}]
+
+
+def test_dual_json_skips_explicit_dual(capsys, monkeypatch):
+    calls = []
+    explicit = duality.dual_union_explicit
+    monkeypatch.setattr(duality, "dual_union_explicit",
+                        lambda u: calls.append(u) or explicit(u))
+    argv = ["dual", "--l", "2", "--m", "7", "--union", "[[3,5]]"]
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0 and calls == []
+    assert json.loads(out)["dual_maxima"] == [[2, 7], [3, 4]]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and len(calls) == 1
+    assert "(2,7) ∪ (3,4)" in out

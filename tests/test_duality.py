@@ -1,10 +1,7 @@
-import json
-
 from schubert_unions.duality import (
     dual_point_count,
     dual_union,
     dual_union_explicit,
-    duality_report,
     rev,
 )
 from schubert_unions.grassgrid import (
@@ -96,11 +93,3 @@ def test_dual_point_count_edges():
     u = SchubertUnion(p, [(3, 5)])
     both = SchubertUnion(p, [(2, 7), (3, 4)])
     assert dual_point_count(u) == both.point_count()
-
-
-def test_duality_report_json():
-    u = SchubertUnion(GrassParams(2, 7), [(3, 5)])
-    rep = duality_report(u)
-    data = json.loads(rep.to_json())
-    assert data["span_primal"] + data["span_dual"] == 21
-    assert data["dual_maxima"] == [[2, 7], [3, 4]]

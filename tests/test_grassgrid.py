@@ -136,10 +136,6 @@ def test_canonicalize_not_downward_closed(l, m, pts, message):
     with pytest.raises(NotDownwardClosed) as info:
         canonicalize(params, pts)
     assert str(info.value) == f"missing points below maxima, e.g. {message}"
-    # unchecked, the union is the one the pairwise maxima generate
-    u = canonicalize(params, pts, check=False)
-    assert u.maxima == pairwise_maxima(pts)
-    assert u.ideal() == scanned_ideal(params, u.maxima)
 
 
 def test_antichain_enforced():

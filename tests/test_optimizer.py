@@ -10,7 +10,6 @@ from schubert_unions.optimizer import (
     admissible,
     best_union,
     bound_table,
-    candidates,
     cardinality,
     exhaustive_bound_table,
     krull_C,
@@ -63,7 +62,7 @@ def test_candidate_shapes():
 def test_candidates_are_valid_spans():
     p = GrassParams(2, 8)
     for K in range(p.k + 1):
-        lu, ru = candidates(p, K)
+        lu, ru = left_candidate(p, K), right_candidate(p, K)
         assert lu.span() == K and ru.span() == K
 
 
@@ -104,7 +103,7 @@ def test_running_counts_match_candidates(m):
     assert len(left) == len(right) == p.k + 1
     table = bound_table(p)
     for K in range(p.k + 1):
-        lu, ru = candidates(p, K)
+        lu, ru = left_candidate(p, K), right_candidate(p, K)
         assert (left[K], right[K]) == (lu.point_count(), ru.point_count())
         assert table.row(p.k - K).J == max(left[K], right[K])
 
