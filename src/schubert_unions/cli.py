@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -48,6 +49,9 @@ def _emit_table(headers, rows, fmt, stream):
 
 def _parse_union(params, text) -> SchubertUnion:
     maxima = json.loads(text)
+    if not isinstance(maxima, list) or not all(isinstance(a, list) for a in maxima):
+        raise ValueError(f"--union must be a JSON list of points such as [[3,5]],"
+                         f" got {text}")
     return SchubertUnion(params, tuple(tuple(a) for a in maxima))
 
 
@@ -261,24 +265,12 @@ def experiment_q4(params, q, budget, point_guard):
     field = gf.Field(q)
     weights.check_oracle_budget(params.k, q, range(1, params.k), budget)
     genmat = pluecker.generator_matrix(field, params, None, point_guard)
-    k, n = genmat.k, genmat.n
-    h = {}
-    argmax = {}
-    for r in range(1, k):
-        best, rows = _max_annihilated_with_witness(field, genmat, r)
-        h[r] = best
-        argmax[r] = rows
-    results = []
-    for r in range(1, k):
-        rows = argmax[r]
-        section = [col for col in genmat.columns
-                   if all(field.dot(f, col) == 0 for f in rows)]
-        basis, _rank = gf.row_reduce(field, section)
-        basis = [b for b in basis if any(b)]
-        # the full code's columns are the Pluecker vectors of all points
-        dual_count = sum(1 for f in genmat.columns
-                         if all(field.dot(f, b) == 0 for b in basis))
-        results.append((r, h[r], dual_count, h.get(k - r, n)))
+    k = genmat.k
+    found = {r: _max_annihilated_with_witness(field, genmat, r) for r in range(1, k)}
+    # the full code's columns are the Pluecker vectors of all points
+    sections = weights._MaskCache(field, genmat.columns, k)
+    results = [(r, best, sections.dual_section(rows), found[k - r][0])
+               for r, (best, rows) in found.items()]
     ok = all(dc == target for _r, _h, dc, target in results)
     return ("affirmative (for the sections found)" if ok else "negative"), results
 
@@ -367,6 +359,12 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first main call and kept for the process."""
+    return build_parser()
+
+
 def _resolve_defaults(args):
     config = {}
     if getattr(args, "config", None):
@@ -415,8 +413,7 @@ HANDLERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _resolve_defaults(args)
         handler = HANDLERS[args.command]

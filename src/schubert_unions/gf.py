@@ -81,6 +81,8 @@ class Field:
     """GF(q); supplies add/sub/neg/mul/inv on integers 0..q-1."""
 
     def __init__(self, q, modulus=None):
+        if q < 2:
+            raise ValueError(f"q={q} is not a prime power")
         p = next((r for r in _PRIMES if q % r == 0), None)
         if p is None:
             raise ValueError(f"q={q} has no small prime factor")

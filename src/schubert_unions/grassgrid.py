@@ -209,7 +209,7 @@ def validate_point(params, alpha):
     a = tuple(alpha)
     if len(a) != params.l:
         raise ValueError(f"point {a} has length {len(a)}, expected {params.l}")
-    if not all(isinstance(x, int) for x in a):
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in a):
         raise ValueError(f"point {a} has non-integer entries")
     if not (1 <= a[0] and a[-1] <= params.m and all(x < y for x, y in zip(a, a[1:]))):
         raise ValueError(f"point {a} is not strictly increasing in 1..{params.m}")

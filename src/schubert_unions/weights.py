@@ -12,11 +12,13 @@ instead of one dot product per column.  The sweep ends at the first leaf
 that reaches a proven ceiling, the smaller of a projective cap (the killed
 columns lie in a (k-r)-dimensional annihilator) and a generalized Griesmer
 cap (d_r >= sum of ceil(d_1/q^i), i < r), so its best count and witness are
-those of the full sweep.
+those of the full sweep.  One _MaskCache per matrix holds the masks, the
+projective classes and d_1; experiment Q4's sections come from its masks.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 
@@ -202,23 +204,31 @@ def _value_tables(field, columns, coords):
 
 
 class _MaskCache:
-    """Memoizes, per functional row, the bitmask of the columns it kills.
+    """The oracle's state for one matrix: zero-set masks, caps and d_1.
 
     With the k coordinates split at k // 2, h_lo + h_hi kills column c
     exactly when h_lo . c = -(h_hi . c): a new row costs q ANDs of two
     value-table entries (hi stored at -v; the q masks of lo[h] are
     disjoint, so their sum is their OR).  Echelon rows recur across pivot
-    sets.
+    sets, so each row's mask is memoized.
     """
 
     def __init__(self, field, columns, k):
         s = self.split = k // 2
-        self.n = len(columns)
+        self.field, self.columns, self.k, self.n = field, columns, k, len(columns)
         self.lo = _value_tables(field, columns, range(s))
         self.hi = [[masks[u] for u in field._neg]
                    for masks in _value_tables(field, columns, range(s, k))]
         self.place = [field.q ** j for j in range(k - s)]
         self.cache = {}
+        # columns by projective point: scaled to lead with 1, zeros kept apart
+        points = collections.Counter()
+        for col in columns:
+            scale = field._mul[field._inv[next((x for x in col if x), 0)]]
+            points[tuple(scale[x] for x in col)] += 1
+        self.zeros = points.pop((0,) * k, 0)
+        self.classes = sorted(points.values(), reverse=True)
+        self.d1 = None
 
     def mask(self, row):
         got = self.cache.get(row)
@@ -228,6 +238,40 @@ class _MaskCache:
             b = self.hi[sum(x * p for x, p in zip(row[s:], place))]
             got = self.cache[row] = sum(x & y for x, y in zip(a, b))
         return got
+
+    def ceiling(self, r, first):
+        """A proven bound on the columns an r-dimensional space can kill.
+
+        Projective cap: the killed columns lie in the annihilator, a
+        (k-r)-dimensional space with theta = (q^(k-r) - 1)/(q - 1) points,
+        so at most the zero columns and the theta largest classes.  Griesmer
+        cap: an r-dimensional subcode punctured to its support is a
+        [d_r, r, >= d_1] code, so d_r >= griesmer_lower(d_1, r, q).  d_1
+        costs one r = 1 sweep, run only when the first leaf misses the
+        projective cap, and at most once per object.
+        """
+        q = self.field.q
+        cap = self.zeros + sum(self.classes[:(q ** (self.k - r) - 1) // (q - 1)])
+        if r == 1 or first == cap:
+            return cap
+        if self.d1 is None:
+            self.d1 = self.n - _sweep(self, 1)[0]
+        return min(cap, self.n - griesmer_lower(self.d1, r, q))
+
+    def dual_section(self, rows):
+        """How many columns the section cut out by rows annihilates.
+
+        The section is the AND of the rows' masks.  A set of columns and its
+        span have one annihilator, so the dual is the AND of the section's
+        columns' masks, each column read as a functional.
+        """
+        section = dual = (1 << self.n) - 1
+        for row in rows:
+            section &= self.mask(row)
+        for i, col in enumerate(self.columns):
+            if section >> i & 1:
+                dual &= self.mask(col)
+        return dual.bit_count()
 
 
 def _echelon_rows(field, k, pivots, i):
@@ -244,32 +288,10 @@ def _echelon_rows(field, k, pivots, i):
     return rows
 
 
-def _projective_cap(field, columns, k, r):
-    """The most columns an r-dimensional space of functionals can kill,
-    counted through projective points.
-
-    The killed columns lie in the annihilator, a (k-r)-dimensional space
-    with theta = (q^(k-r) - 1)/(q - 1) projective points, so at most the
-    zero columns and the theta largest classes of proportional columns.
-    """
-    q, inv, mul = field.q, field._inv, field._mul
-    zeros = 0
-    points = {}
-    for col in columns:
-        lead = next((x for x in col if x), 0)
-        if not lead:
-            zeros += 1
-            continue
-        scale = mul[inv[lead]]
-        point = tuple(scale[x] for x in col)
-        points[point] = points.get(point, 0) + 1
-    sizes = sorted(points.values(), reverse=True)
-    return zeros + sum(sizes[:(q ** (k - r) - 1) // (q - 1)])
-
-
-def _sweep(field, cache, k, r, ceiling):
+def _sweep(cache, r):
     """(best, witness) of the r-sweep; stops at the first leaf whose count
-    reaches ceiling(first leaf's count), a proven bound on every count."""
+    reaches cache.ceiling(r, its count), a proven bound on every count."""
+    field, k = cache.field, cache.k
     full = (1 << cache.n) - 1
     best, witness, cap = -1, None, None
     path = [None] * r
@@ -290,7 +312,7 @@ def _sweep(field, cache, k, r, ceiling):
                 if last:
                     best, witness = count, list(path)
                     if cap is None:
-                        cap = ceiling(best)
+                        cap = cache.ceiling(r, best)
                     assert best <= cap, f"r={r}: {best} columns killed, cap {cap}"
                     if best == cap:
                         return True
@@ -310,28 +332,14 @@ def _max_annihilated(field, columns, k, r):
 
     Subspaces are enumerated once each through their reduced echelon basis;
     a partial intersection that cannot beat the best count prunes its branch.
-    The sweep ends at the first leaf that reaches min(projective cap,
-    Griesmer cap): an r-dimensional subcode punctured to its support is a
-    [d_r, r, >= d_1] code, so d_r >= griesmer_lower(d_1, r, q).  d_1 costs
-    one r = 1 sweep, paid only when the first leaf misses the projective cap.
+    The sweep ends at the first leaf that reaches _MaskCache.ceiling.
     """
     if r == k:
         # the whole dual space kills only zero columns; the value tables
         # would cost q^(k/2) masks for this one-subspace sweep
         identity = [tuple(int(i == j) for j in range(k)) for i in range(k)]
         return sum(1 for col in columns if not any(col)), identity
-    cache = _MaskCache(field, columns, k)
-    n = len(columns)
-
-    def ceiling(first):
-        cap = _projective_cap(field, columns, k, r)
-        if r == 1 or first == cap:
-            return cap
-        d1_cap = _projective_cap(field, columns, k, 1)
-        d1 = n - _sweep(field, cache, k, 1, lambda _first: d1_cap)[0]
-        return min(cap, n - griesmer_lower(d1, r, field.q))
-
-    return _sweep(field, cache, k, r, ceiling)
+    return _sweep(_MaskCache(field, columns, k), r)
 
 
 def check_oracle_budget(k, q, rs, budget):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from schubert_unions import duality, weights
+from schubert_unions import cli, duality, weights
 from schubert_unions.cli import FORMATS, main
 
 from table_fixtures import DIRECTIONS
@@ -279,6 +279,24 @@ def test_experiment_q4_golden(capsys, q):
                             "--q", q], capsys)
     assert code == 0
     assert out == Q4_GOLDEN[q]
+
+
+# sha256 of stdout of `experiment Q4 --l 2 --m 4 --q Q --format F`, recorded
+# when the sections came from Field.dot scans and a row-reduced basis
+Q4_C24_DIGESTS = [
+    ("4", "markdown", "b2cb79d8aafe59fae2083b843094a9dc0dc13f1d6e663dff3bb8f29b349f6246"),
+    ("4", "json", "306ae8eb90e243c549726cbc4a8a4ef669f8945ff6dbd29d265765c0c449f491"),
+    ("5", "markdown", "e312ecc538da7adb4e7c855e1830dc23b990b599456d0ad95516b36ae2be2a16"),
+    ("5", "json", "aad06ddf516d630e99dcf5c576a462f34f994e77adfd05aea41620c2fd61b366"),
+]
+
+
+@pytest.mark.parametrize("q,fmt,digest", Q4_C24_DIGESTS)
+def test_experiment_q4_c24_digest(capsys, q, fmt, digest):
+    code, out, _ = run_cli(["experiment", "Q4", "--l", "2", "--m", "4",
+                            "--q", q, "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # sha256 of stdout of `weights --l 2 --m 4 --q Q --oracle --format F`,
@@ -564,3 +582,51 @@ def test_dual_json_skips_explicit_dual(capsys, monkeypatch):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0 and len(calls) == 1
     assert "(2,7) ∪ (3,4)" in out
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        bad = ["krull", "--l", "2", "--m", "6", "--nope"]
+        with pytest.raises(SystemExit) as first:
+            main(bad)
+        err = capsys.readouterr().err
+        assert run_cli(["krull", "--l", "2", "--m", "6"], capsys)[0] == 0
+        with pytest.raises(SystemExit) as again:
+            main(bad)
+        # the kept parser prints the usage and error bytes of a fresh one
+        assert first.value.code == again.value.code == 2
+        assert capsys.readouterr().err == err
+        with pytest.raises(SystemExit):
+            build().parse_args(bad)
+        assert capsys.readouterr().err == err
+        assert builds == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_boolean_coordinates_rejected(capsys, fmt):
+    code, out, err = run_cli(["dual", "--l", "2", "--m", "5", "--union",
+                              "[[true,2]]", "--format", fmt], capsys)
+    assert (code, out) == (2, "")
+    assert "non-integer entries" in err
+
+
+@pytest.mark.parametrize("command", ["dual", "encode", "genmatrix", "weights"])
+@pytest.mark.parametrize("union", ["{}", "[1]", "[[1,5],3]", "null"])
+def test_union_must_be_a_list_of_points(capsys, command, union):
+    q = [] if command in ("dual", "encode") else ["--q", "2"]
+    code, out, err = run_cli([command, "--l", "2", "--m", "5", *q,
+                              "--union", union], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --union must be a JSON list of points")
+
+
+def test_empty_union_is_valid(capsys):
+    code, out, err = run_cli(["genmatrix", "--l", "2", "--m", "5", "--q", "2",
+                              "--union", "[]"], capsys)
+    assert (code, out, err) == (0, "", "")

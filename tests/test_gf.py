@@ -53,6 +53,12 @@ def test_bad_modulus_rejected():
         Field(6)
 
 
+@pytest.mark.parametrize("q", [1, 0, -1, -4])
+def test_field_below_two_is_not_a_prime_power(q):
+    with pytest.raises(ValueError, match=f"q={q} is not a prime power"):
+        Field(q)
+
+
 def test_custom_modulus_accepted():
     f = Field(25, modulus=(2, 0, 1))  # x^2+2 is irreducible over GF(5)
     assert f.mul(5, 5) == 3  # x * x = -2 = 3

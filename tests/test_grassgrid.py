@@ -21,6 +21,7 @@ from schubert_unions.grassgrid import (
     partition_weight,
     point_leq,
     upper_covers,
+    validate_point,
 )
 
 
@@ -282,3 +283,13 @@ def test_poly_reciprocal():
     assert p.reversed_within(4) == Poly.parse("2q^3+q")
     with pytest.raises(ValueError):
         p.reversed_within(2)
+
+
+def test_validate_point_rejects_booleans():
+    params = GrassParams(2, 5)
+    assert validate_point(params, [1, 2]) == (1, 2)
+    for bad in ([True, 2], [1, True], [False, 2]):
+        with pytest.raises(ValueError, match="non-integer entries"):
+            validate_point(params, bad)
+    with pytest.raises(ValueError, match="non-integer entries"):
+        SchubertUnion(params, [(True, 2)])

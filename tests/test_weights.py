@@ -4,7 +4,7 @@ import random
 import pytest
 
 from schubert_unions import weights
-from schubert_unions.gf import Field
+from schubert_unions.gf import Field, row_reduce
 from schubert_unions.grassgrid import (
     GrassParams,
     Poly,
@@ -196,6 +196,56 @@ def test_oracle_stops_at_first_maximiser(monkeypatch):
     gm = generator_matrix(f2, GrassParams(2, 5))
     assert oracle_dr(f2, gm, 7) == gm.n - 7
     assert calls == [tuple(range(7))] * 7
+
+
+def _counted_sweeps(monkeypatch):
+    """The r of every weights._sweep call, the d_1 sweeps inside ceilings too."""
+    calls = []
+    sweep = weights._sweep
+
+    def counted(cache, r):
+        calls.append(r)
+        return sweep(cache, r)
+
+    monkeypatch.setattr(weights, "_sweep", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r,sweeps", [
+    (4, [4, 1]),  # the first leaf misses the projective cap: d_1 for Griesmer
+    (7, [7]),     # the first leaf meets the projective cap: no d_1
+])
+def test_d1_sweep_only_when_needed(monkeypatch, r, sweeps):
+    calls = _counted_sweeps(monkeypatch)
+    f2 = Field(2)
+    gm = generator_matrix(f2, GrassParams(2, 5))
+    weights._max_annihilated(f2, gm.columns, gm.k, r)
+    assert calls == sweeps
+
+
+def test_d1_swept_once_per_cache(monkeypatch):
+    calls = _counted_sweeps(monkeypatch)
+    f2 = Field(2)
+    gm = generator_matrix(f2, GrassParams(2, 5))
+    cache = _MaskCache(f2, gm.columns, gm.k)
+    assert weights._sweep(cache, 4)[0] == gm.n - 120
+    assert cache.d1 == 64
+    assert weights._sweep(cache, 3)[0] == gm.n - 112
+    assert calls == [4, 1, 3]
+
+
+def test_dual_section_matches_dot_scan():
+    # the dual section through masks equals the scan over a row-reduced
+    # basis of the section, for every r-sweep witness of C(2,4) over F_3
+    f3 = Field(3)
+    gm = generator_matrix(f3, GrassParams(2, 4))
+    cache = _MaskCache(f3, gm.columns, gm.k)
+    for r in range(1, gm.k):
+        _best, rows = weights._max_annihilated(f3, gm.columns, gm.k, r)
+        section = [c for c in gm.columns if all(f3.dot(f, c) == 0 for f in rows)]
+        basis = [b for b in row_reduce(f3, section)[0] if any(b)]
+        expected = sum(1 for c in gm.columns if all(f3.dot(c, b) == 0 for b in basis))
+        assert cache.dual_section(rows) == expected, r
 
 
 def _uncapped_max_annihilated(field, columns, k, r):
