@@ -176,7 +176,11 @@ def _parse_r_range(text, k):
     if text is None:
         return range(1, k + 1)
     a, sep, b = text.partition(":")
-    wanted = range(int(a), int(b if sep else a) + 1)
+    try:
+        wanted = range(int(a), int(b if sep else a) + 1)
+    except ValueError:
+        raise ValueError(f"--r-range {text} is not of the form a or a:b"
+                         f" with integers a, b") from None
     if not wanted or wanted[0] < 1 or wanted[-1] > k:
         raise ValueError(f"--r-range {text} is not a range inside 1..{k}")
     return wanted
@@ -189,9 +193,11 @@ def cmd_weights(args, out):
     if args.union:
         if args.oracle:
             raise ValueError("--oracle does not apply to --union")
+        if field is None:
+            raise ValueError("--union needs --q")
         u = _parse_union(params, args.union)
         wanted = _parse_r_range(args.r_range, u.span())
-        result = weights.union_code_params(u, field or gf.Field(2), args.guard)
+        result = weights.union_code_params(u, field, args.guard)
         records = [rec for rec in result["records"] if rec.r in wanted]
         head = {key: result[key] for key in ("n", "k", "d1")}
     else:
@@ -288,9 +294,11 @@ def cmd_experiment(args, out):
         verdict, detail = experiment_q8(params, args.guard)
     elif args.question == "Q9":
         verdict, detail = experiment_q9(params, args.guard)
+    elif args.q is None:
+        raise ValueError("Q4 needs --q")
     else:
-        verdict, detail = experiment_q4(params, args.q or 2,
-                                        args.oracle_budget, args.point_guard)
+        verdict, detail = experiment_q4(params, args.q, args.oracle_budget,
+                                        args.point_guard)
     if args.format == "json":
         out.write(json.dumps({"question": args.question, "l": args.l,
                               "m": args.m, "verdict": verdict,

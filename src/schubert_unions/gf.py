@@ -1,13 +1,18 @@
-"""Arithmetic in GF(q) for small prime powers; rank and minors over GF(q).
+"""Arithmetic in GF(q) for prime powers q up to MAX_Q; rank and minors over GF(q).
 
-Elements are integers 0..q-1.  For q = p^e with e > 1 the integer's base-p
-digits are the coefficients of a polynomial over GF(p), reduced modulo a
-fixed irreducible modulus so results are reproducible:
+Elements are integers 0..q-1 whose base-p digits, lowest first, are the
+coefficients of a polynomial over GF(p) reduced modulo a monic modulus of
+degree e (q = p^e).  Every q takes one path: the tables come from one digit
+recurrence, and a modulus is accepted exactly when every nonzero element has
+an inverse, that is, when F_p[x]/(modulus) is a field.  The default modulus
+is the first monic x^e + c_{e-1} x^{e-1} + ... + c_0 that gives a field, in
+lexicographic order of (c_{e-1}, ..., c_0); so results are reproducible:
 
-    GF(4): x^2 + x + 1      GF(8): x^3 + x + 1      GF(9): x^2 + 1
+    GF(p): x    GF(4): x^2 + x + 1    GF(8): x^3 + x + 1    GF(9): x^2 + 1
+    GF(16): x^4 + x + 1    GF(25): x^2 + 2    GF(27): x^3 + 2x + 1
 
-Only small fields are supported; they exist to validate the point-count
-polynomials and to drive the brute-force weight oracle.
+The fields exist to validate the point-count polynomials and to build the
+codes the weight oracle sweeps.
 """
 
 from __future__ import annotations
@@ -15,66 +20,32 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-# modulus digits, lowest degree first
-DEFAULT_MODULI = {
-    4: (1, 1, 1),
-    8: (1, 1, 0, 1),
-    9: (1, 0, 1),
-}
-
-_PRIMES = (2, 3, 5, 7, 11, 13)
+# generator matrices are written one byte per entry (pluecker.write_binary)
+MAX_Q = 256
 
 
-def _poly_mul_mod(a, b, modulus, p):
-    """Multiply digit tuples over GF(p) and reduce by the monic modulus."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    e = len(modulus) - 1
-    for i in range(len(out) - 1, e - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(e):
-                out[i - e + j] = (out[i - e + j] - c * modulus[j]) % p
-    return tuple(out[:e])
+def _mul_inv(p, e, add, modulus):
+    """(mul, inv) tables of F_p[x]/(modulus), or None if it is not a field.
 
-
-def _is_irreducible(modulus, p):
-    """Exhaustive check; a root test suffices for degree <= 3."""
-    e = len(modulus) - 1
-    if modulus[-1] != 1:
-        return False
-
-    def value_at(x):
-        v = 0
-        for c in reversed(modulus):
-            v = (v * x + c) % p
-        return v
-
-    if e <= 1:
-        return e == 1
-    if any(value_at(x) == 0 for x in range(p)):
-        return False
-    if e <= 3:
-        return True
-    # trial division by monic polynomials of degree 2..e//2
-    for d in range(2, e // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            div = tuple(tail) + (1,)
-            # long division remainder
-            rem = list(modulus)
-            for i in range(len(rem) - 1, d - 1, -1):
-                c = rem[i]
-                if c:
-                    rem[i] = 0
-                    for j in range(d):
-                        rem[i - d + j] = (rem[i - d + j] - c * div[j]) % p
-            if not any(rem[:d]):
-                return False
-    return True
+    For b < p, a*b scales a's digits by b (row b when a >= p, as ab = ba).
+    Beyond, a*b = a*(b % p) + x*(a*(b // p)), where multiplying by x shifts
+    the digits up and replaces x^e by minus the modulus's lower terms.  A
+    nonzero row with no 1 is a zero divisor, which exists exactly when the
+    modulus is reducible.
+    """
+    q, top = p ** e, p ** (e - 1)
+    # wrap[c] is c * x^e = -c * (modulus - x^e)
+    wrap = [sum(-c * m % p * p ** j for j, m in enumerate(modulus[:e])) for c in range(p)]
+    times_x = [add[v % top * p][wrap[v // top]] for v in range(q)]
+    mul = []
+    for a in range(q):
+        row = [a * b % p if a < p else mul[b][a] for b in range(p)]
+        for b in range(p, q):
+            row.append(add[row[b % p]][times_x[row[b // p]]])
+        if a and 1 not in row:
+            return None
+        mul.append(row)
+    return mul, [0] + [row.index(1) for row in mul[1:]]
 
 
 class Field:
@@ -83,59 +54,31 @@ class Field:
     def __init__(self, q, modulus=None):
         if q < 2:
             raise ValueError(f"q={q} is not a prime power")
-        p = next((r for r in _PRIMES if q % r == 0), None)
-        if p is None:
-            raise ValueError(f"q={q} has no small prime factor")
-        e = 0
-        qq = q
-        while qq > 1:
-            if qq % p:
-                raise ValueError(f"q={q} is not a prime power")
-            qq //= p
+        if q > MAX_Q:
+            raise ValueError(f"q={q} is above {MAX_Q}, the largest supported field")
+        p = next(r for r in range(2, q + 1) if q % r == 0)
+        e = 1
+        while p ** e < q:
             e += 1
+        if p ** e != q:
+            raise ValueError(f"q={q} is not a prime power")
         self.q, self.p, self.e = q, p, e
-        if e == 1:
-            self.modulus = None
-        else:
-            if modulus is None:
-                if q not in DEFAULT_MODULI:
-                    raise ValueError(f"no default modulus for q={q}; pass one")
-                modulus = DEFAULT_MODULI[q]
-            modulus = tuple(x % p for x in modulus)
-            if len(modulus) != e + 1 or not _is_irreducible(modulus, p):
-                raise ValueError(f"modulus {modulus} is not irreducible of degree {e}")
-            self.modulus = modulus
-        digits = [self._digits(a) for a in range(q)]
-        self._add = [[self._undigits([(x + y) % p for x, y in zip(da, db)])
-                      for db in digits] for da in digits]
-        self._neg = [self._undigits([-x % p for x in da]) for da in digits]
-        self._mul = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        inv = [0] * q
+        # a + b digit by digit: the lowest digits, then the rest shifted down
+        add = [list(range(q))]
         for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv = inv
-
-    def _digits(self, a):
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def _undigits(self, digits):
-        v = 0
-        for c in reversed(digits):
-            v = v * self.p + c
-        return v
-
-    def _mul_slow(self, a, b):
-        if self.e == 1:
-            return a * b % self.p
-        prod = _poly_mul_mod(self._digits(a), self._digits(b), self.modulus, self.p)
-        return self._undigits(prod)
+            up = add[a // p]
+            add.append([(a + b) % p + p * up[b // p] for b in range(q)])
+        if modulus is None:
+            candidates = (tail[::-1] + (1,) for tail in itertools.product(range(p), repeat=e))
+        else:
+            modulus = tuple(x % p for x in modulus)
+            candidates = [modulus] if len(modulus) == e + 1 and modulus[-1] == 1 else []
+        found = next(((m, t) for m in candidates if (t := _mul_inv(p, e, add, m))), None)
+        if found is None:
+            raise ValueError(f"modulus {modulus} is not irreducible of degree {e}")
+        self.modulus, (self._mul, self._inv) = found
+        self._add = add
+        self._neg = [row.index(0) for row in add]
 
     def elements(self):
         return range(self.q)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from schubert_unions import cli, duality, weights
+from schubert_unions import cli, duality, gf, weights
 from schubert_unions.cli import FORMATS, main
 
 from table_fixtures import DIRECTIONS
@@ -530,6 +530,17 @@ CLI_GOLDEN = {
         "4fac0f07f8d99b0e1bb0d4ffceb54a9e7867400303cd83f688931e4a578ccf67",
         "f952048d677b811b27a7ab2de4ea6d709f833adf10c634ece89582f375318e01",
     ),
+    # symbolic weights (no --q), recorded while GF(q) had a fixed prime list
+    "weights --l 2 --m 6": (
+        "0a11470152de7b2e2a339347c05f3ff369875ef163e3cfcd24b91082cd4f19a5",
+        "bf08c5ba2e1a521e959f453cbfba2e6180e877cb3d7e22fd207cfb934e249270",
+        "c6f3ee721d227ed2653b5000fd1a68136c30a667ef3967cf7f05eb1186e720db",
+    ),
+    "weights --l 3 --m 6": (
+        "e3d259cbbb3852ee5f48839231644f6fc7a7da2cb89738d387d12882730da707",
+        "dd62421e076e5938c6055431d7bbeb49827c75db3b72db0c3e91831fb672aa3f",
+        "3c2c0c5948e7b1f65044405fcafbf8c4a84c102815092c76c9150566d758baf8",
+    ),
 }
 
 
@@ -630,3 +641,64 @@ def test_empty_union_is_valid(capsys):
     code, out, err = run_cli(["genmatrix", "--l", "2", "--m", "5", "--q", "2",
                               "--union", "[]"], capsys)
     assert (code, out, err) == (0, "", "")
+
+
+# stderr of refusals, recorded while GF(q) had a fixed prime list
+REFUSALS = [
+    (["weights", "--l", "2", "--m", "4", "--q", "6"], 2,
+     "error: q=6 is not a prime power\n"),
+    (["dual", "--l", "2", "--m", "5", "--union", "{}"], 2,
+     "error: --union must be a JSON list of points such as [[3,5]], got {}\n"),
+    (["enumerate", "--l", "3", "--m", "7"], 3,
+     "error: grid has 35 points, guard is 28\n"),
+    (["weights", "--l", "2", "--m", "5", "--q", "2", "--oracle", "--r-range", "1:4"], 3,
+     "error: r=4 sweep needs 53743987 subspaces, budget is 20000000\n"),
+    # refused before looking for a prime factor
+    (["weights", "--l", "2", "--m", "4", "--q", "257"], 2,
+     "error: q=257 is above 256, the largest supported field\n"),
+    (["weights", "--l", "2", "--m", "4", "--q", "1000000000039"], 2,
+     "error: q=1000000000039 is above 256, the largest supported field\n"),
+    # no silent F_2
+    (["weights", "--l", "2", "--m", "5", "--union", "[[1,5],[2,3]]"], 2,
+     "error: --union needs --q\n"),
+    (["experiment", "Q4", "--l", "2", "--m", "4"], 2, "error: Q4 needs --q\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,err", REFUSALS)
+def test_refusal_stderr(capsys, monkeypatch, argv, code, err):
+    monkeypatch.delenv("SCHUBERT_UNIONS_GUARD", raising=False)
+    assert run_cli(argv, capsys) == (code, "", err)
+
+
+@pytest.mark.parametrize("text", ["x", "1:2:3", ":3", "2:"])
+def test_r_range_form_named(capsys, text):
+    code, out, err = run_cli(["weights", "--l", "2", "--m", "4", "--q", "2",
+                              "--r-range", text], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --r-range {text} is not of the form a or a:b" \
+                  f" with integers a, b\n"
+
+
+@pytest.mark.parametrize("q", [16, 25, 27])
+def test_weights_over_default_modulus_fields(capsys, q):
+    code, out, _ = run_cli(["weights", "--l", "2", "--m", "4", "--q", str(q),
+                            "--format", "json"], capsys)
+    assert code == 0
+    code, symbolic, _ = run_cli(["weights", "--l", "2", "--m", "4",
+                                 "--format", "json"], capsys)
+
+    def at_q(v):
+        return sum(c * q ** i for i, c in enumerate(v)) if isinstance(v, list) else v
+
+    assert json.loads(out) == [{key: at_q(v) for key, v in rec.items()}
+                               for rec in json.loads(symbolic)]
+
+
+def test_genmatrix_over_gf27(monkeypatch):
+    code, raw = stdout_bytes(monkeypatch, ["genmatrix", "--l", "2", "--m", "3",
+                                           "--q", "27"])
+    columns = [list(map(int, line.split())) for line in raw.decode().splitlines()]
+    # G(2,3) is the projective plane: 27^2 + 27 + 1 points
+    assert code == 0 and len(columns) == 757
+    assert gf.rank(gf.Field(27), list(zip(*columns))) == 3
