@@ -24,7 +24,7 @@ from .grassgrid import (
     cell_dimension,
     enumerate_ideals,
     full_grid,
-    gaussian_point_count,
+    gaussian_binomial,
     grand_total,
     grid_to_partition,
     partition_to_grid,
@@ -47,7 +47,6 @@ from .optimizer import (
 from .pluecker import (
     DEFAULT_POINT_GUARD,
     GeneratorMatrix,
-    count_points,
     enumerate_points,
     generator_matrix,
     pluecker_vector,

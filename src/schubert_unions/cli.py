@@ -17,6 +17,7 @@ from . import duality, gf, optimizer, pluecker, twodim, weights
 from .grassgrid import (
     DEFAULT_IDEAL_GUARD,
     GrassParams,
+    Poly,
     SchubertUnion,
     TooLarge,
     enumerate_ideals,
@@ -29,8 +30,9 @@ FORMATS = ("markdown", "csv", "json")
 
 
 def _emit_table(headers, rows, fmt, stream):
+    """Rows as a table; JSON carries a polynomial as its coefficient list."""
     if fmt == "json":
-        stream.write(json.dumps([dict(zip(headers, r)) for r in rows], indent=None))
+        stream.write(json.dumps([dict(zip(headers, r)) for r in rows], default=Poly.to_list))
         stream.write("\n")
     elif fmt == "csv":
         w = csv.writer(stream, lineterminator="\n")
@@ -66,22 +68,15 @@ def cmd_enumerate(args, out):
         g = u.point_count()
         rows.append((u, u.span(), u.krull(), g))
     rows.sort(key=lambda r: (r[1], r[3].lex_key(), r[0].maxima))
-    best = {}
-    for _u, span, _k, g in rows:
-        if span not in best or g > best[span]:
-            best[span] = g
+    # the last row of each span holds its largest g
+    best = {span: g for _u, span, _k, g in rows}
     headers = ["U", "Span", "Krull", "M_U", "Points", "Maximal"] if params.l == 2 \
         else ["U", "Span", "Krull", "Points", "Maximal"]
-    # JSON carries polynomials as coefficient arrays, lowest degree first
-    poly = (lambda g: g.to_list()) if args.format == "json" else str
     table = []
     for u, span, kr, g in rows:
         maximal = "Yes" if g == best[span] else "No"
-        if params.l == 2:
-            table.append((u.label(), span, kr, _mset_str(twodim.union_to_mset(u)),
-                          poly(g), maximal))
-        else:
-            table.append((u.label(), span, kr, poly(g), maximal))
+        m_u = (_mset_str(twodim.union_to_mset(u)),) if params.l == 2 else ()
+        table.append((u.label(), span, kr, *m_u, g, maximal))
     _emit_table(headers, table, args.format, out)
     return 0
 
@@ -126,11 +121,9 @@ def cmd_bounds(args, out):
     headers = ["r", "J_r", "D_r", "E_r"]
     if params.l == 2:
         headers.append("Direction")
-    poly = (lambda p: p.to_list()) if args.format == "json" else str
     rows = []
     for row in table.rows:
-        cells = [row.r, poly(row.J), poly(row.D),
-                 "-" if row.E is None else poly(row.E)]
+        cells = [row.r, row.J, row.D, "-" if row.E is None else row.E]
         if params.l == 2:
             cells.append(row.direction or "-")
         rows.append(tuple(cells))
@@ -188,16 +181,16 @@ def _parse_r_range(text, k):
 
 def cmd_weights(args, out):
     params = GrassParams(args.l, args.m)
-    # building the field refuses a q that is not a supported prime power
-    field = gf.Field(args.q) if args.q is not None else None
+    if args.q is not None:
+        gf.prime_power(args.q)
     if args.union:
         if args.oracle:
             raise ValueError("--oracle does not apply to --union")
-        if field is None:
+        if args.q is None:
             raise ValueError("--union needs --q")
         u = _parse_union(params, args.union)
         wanted = _parse_r_range(args.r_range, u.span())
-        result = weights.union_code_params(u, field, args.guard)
+        result = weights.union_code_params(u, args.q, args.guard)
         records = [rec for rec in result["records"] if rec.r in wanted]
         head = {key: result[key] for key in ("n", "k", "d1")}
     else:
@@ -206,9 +199,10 @@ def cmd_weights(args, out):
         if not args.oracle:
             records = [rec for rec in weights.weight_table(params, args.q, args.guard)
                        if rec.r in wanted]
-        elif field is None:
+        elif args.q is None:
             raise ValueError("--oracle needs --q")
         else:
+            field = gf.Field(args.q)
             weights.check_oracle_budget(params.k, args.q, wanted, args.oracle_budget)
             genmat = pluecker.generator_matrix(field, params, None, args.point_guard)
             records = [weights.WeightRecord(
@@ -326,8 +320,7 @@ def build_parser():
         p.add_argument("--m", type=int, required=True)
         if need_q:
             p.add_argument("--q", type=int, default=None)
-        p.add_argument("--format", choices=FORMATS,
-                       default="markdown")
+        p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--guard", type=int, default=None)
         p.add_argument("--config", default=None)
@@ -374,30 +367,37 @@ def _parser():
 
 
 def _resolve_defaults(args):
+    """Each setting from its flag, else the config file, else the default."""
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 config = json.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read config {args.config}: {exc.strerror}") from exc
-    if args.guard is None:
-        args.guard = int(config.get("guard",
-                                    os.environ.get(GUARD_ENV, DEFAULT_IDEAL_GUARD)))
-    if hasattr(args, "oracle_budget") and args.oracle_budget is None:
-        args.oracle_budget = int(config.get("oracle_budget",
-                                            weights.DEFAULT_ORACLE_BUDGET))
-    if hasattr(args, "point_guard") and args.point_guard is None:
-        args.point_guard = int(config.get("point_guard",
-                                          pluecker.DEFAULT_POINT_GUARD))
-    if "format" in config and args.format == "markdown":
-        if config["format"] not in FORMATS:
-            raise ValueError(f"config format must be one of {', '.join(FORMATS)},"
-                             f" got {config['format']!r}")
-        args.format = config["format"]
-    for name in ("guard", "oracle_budget", "point_guard"):
-        if getattr(args, name, 0) < 0:
-            raise ValueError(f"{name} must be >= 0, got {getattr(args, name)}")
+        if not isinstance(config, dict):
+            raise ValueError(f"config {args.config} does not hold a JSON object")
+    limits = {"guard": os.environ.get(GUARD_ENV, DEFAULT_IDEAL_GUARD),
+              "oracle_budget": weights.DEFAULT_ORACLE_BUDGET,
+              "point_guard": pluecker.DEFAULT_POINT_GUARD}
+    # a command without a limit's flag has no such attribute: 0 skips it
+    for name, default in limits.items():
+        value = getattr(args, name, 0)
+        if value is None:
+            value = config.get(name, default)
+            integral = type(value) is int or type(value) is float and value.is_integer()
+            if name in config and not integral:
+                raise ValueError(f"config {args.config}: {name} must be an integer,"
+                                 f" got {json.dumps(value)}")
+            value = int(value)
+            setattr(args, name, value)
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if args.format is None:
+        args.format = config.get("format", "markdown")
+        if args.format not in FORMATS:
+            raise ValueError(f"config {args.config}: format must be one of"
+                             f" {', '.join(FORMATS)}, got {json.dumps(args.format)}")
 
 
 def _open_out(path, mode):

@@ -48,20 +48,26 @@ def _mul_inv(p, e, add, modulus):
     return mul, [0] + [row.index(1) for row in mul[1:]]
 
 
+def prime_power(q):
+    """(p, e) with q = p^e; ValueError unless q is a prime power up to MAX_Q."""
+    if q < 2:
+        raise ValueError(f"q={q} is not a prime power")
+    if q > MAX_Q:
+        raise ValueError(f"q={q} is above {MAX_Q}, the largest supported field")
+    p = next(r for r in range(2, q + 1) if q % r == 0)
+    e = 1
+    while p ** e < q:
+        e += 1
+    if p ** e != q:
+        raise ValueError(f"q={q} is not a prime power")
+    return p, e
+
+
 class Field:
     """GF(q); supplies add/sub/neg/mul/inv on integers 0..q-1."""
 
     def __init__(self, q, modulus=None):
-        if q < 2:
-            raise ValueError(f"q={q} is not a prime power")
-        if q > MAX_Q:
-            raise ValueError(f"q={q} is above {MAX_Q}, the largest supported field")
-        p = next(r for r in range(2, q + 1) if q % r == 0)
-        e = 1
-        while p ** e < q:
-            e += 1
-        if p ** e != q:
-            raise ValueError(f"q={q} is not a prime power")
+        p, e = prime_power(q)
         self.q, self.p, self.e = q, p, e
         # a + b digit by digit: the lowest digits, then the rest shifted down
         add = [list(range(q))]

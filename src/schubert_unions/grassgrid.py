@@ -360,25 +360,23 @@ def canonicalize(params, points):
 def down_sets(points):
     """Yield every downward-closed subset of `points`, as a frozenset.
 
-    `points` must be sorted lexicographically, a linear extension of the
-    componentwise order.  Partial down-sets are extended point by point, so
-    the work is linear in the output count; no power-set filtering.
+    `points` must be a down-set sorted lexicographically, so each point's
+    lower covers (at most l) precede it; a point joins a partial down-set
+    when they are chosen.  The work is linear in the output count.
     """
     n = len(points)
-    below = []
-    for i, a in enumerate(points):
-        below.append([j for j in range(i) if point_leq(points[j], a)])
+    covers = [tuple(lower_covers(a)) for a in points]
     chosen = set()
 
     def rec(i):
         if i == n:
-            yield frozenset(points[j] for j in chosen)
+            yield frozenset(chosen)
             return
         yield from rec(i + 1)
-        if all(j in chosen for j in below[i]):
-            chosen.add(i)
+        if all(b in chosen for b in covers[i]):
+            chosen.add(points[i])
             yield from rec(i + 1)
-            chosen.remove(i)
+            chosen.remove(points[i])
 
     yield from rec(0)
 
@@ -406,11 +404,6 @@ def gaussian_binomial(m, l, q) -> int:
         den *= q ** (l - i) - 1
     assert num % den == 0
     return num // den
-
-
-def gaussian_point_count(params, q) -> int:
-    """|G(l,m)(F_q)| independently of the cells; cross-checks grand_total."""
-    return gaussian_binomial(params.m, params.l, q)
 
 
 def grid_to_partition(params, alpha):

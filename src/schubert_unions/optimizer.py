@@ -171,9 +171,9 @@ def cardinality(point) -> int:
 def krull_C(params, d):
     """Least spanning dimension of an l=2 union of Krull dimension d.
 
-    C(-1) = 0; C(d) = d+1 for d <= m-2; beyond that the minimum of the
-    cardinalities at the two ends of the diagonal x+y-3 = d; infinity for
-    d above 2m-4.
+    C(-1) = 0; otherwise the minimum of the cardinalities at the two ends
+    of the diagonal x+y-3 = d, which is d+1 for d <= m-2; infinity for d
+    above 2m-4.
     """
     _require_l2(params)
     m = params.m
@@ -183,15 +183,9 @@ def krull_C(params, d):
         return 0
     if d > 2 * m - 4:
         return float("inf")
-    if d <= m - 2:
-        return d + 1
-    x = d - m + 3
-    c1 = x * m - x * (x + 1) // 2
-    if d % 2 == 0:
-        c2 = (d * d + 6 * d + 8) // 8
-    else:
-        c2 = (d * d + 8 * d + 7) // 8
-    return min(c1, c2)
+    # the diagonal runs inside 1 <= x < y <= m from x = left to x = right
+    left, right = max(1, d + 3 - m), (d + 2) // 2
+    return min(cardinality((left, d + 3 - left)), cardinality((right, d + 3 - right)))
 
 
 def krull_dK(params, K) -> int:

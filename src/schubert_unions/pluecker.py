@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from . import gf
-from .grassgrid import SchubertUnion, TooLarge, cell_dimension, full_grid
+from .grassgrid import SchubertUnion, TooLarge, full_grid
 
 DEFAULT_POINT_GUARD = 10 ** 7
 
@@ -56,19 +56,13 @@ def pluecker_vector(field, params, matrix):
     return gf.maximal_minors(field, matrix)
 
 
-def count_points(params, union, q) -> int:
-    """Predicted number of F_q-points, summing q^dim over the union's cells."""
-    pts = union.ideal() if union is not None else full_grid(params)
-    return sum(q ** cell_dimension(a, params.l) for a in pts)
-
-
 def enumerate_points(field, params, union=None, guard=DEFAULT_POINT_GUARD):
     """Yield (cell label, Pluecker vector) for each point, cells in lex order."""
-    expected = count_points(params, union, field.q)
+    whole = union if union is not None else SchubertUnion.full(params)
+    expected = whole.point_count()(field.q)
     if expected > guard:
         raise TooLarge(f"enumeration of {expected} points exceeds guard {guard}")
-    cells = sorted(union.ideal()) if union is not None else full_grid(params)
-    for alpha in cells:
+    for alpha in sorted(whole.ideal()):
         for mat in cell_matrices(field, params, alpha):
             yield alpha, pluecker_vector(field, params, mat)
 

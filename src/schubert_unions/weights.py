@@ -70,29 +70,18 @@ def nogin_s(params) -> int:
 
 
 def nogin_weights(params):
-    """(r, d_r) with d_r = q^delta + ... + q^{delta-r+1}, r = 1..s."""
-    delta = params.delta
-    out = []
-    acc = Poly.zero()
-    for r in range(1, nogin_s(params) + 1):
-        acc = acc + Poly.monomial(delta - r + 1)
-        out.append((r, acc))
-    return out
+    """(r, d_r) with d_r = q^delta + ... + q^{delta-r+1}, r = 1..s.
+
+    Nogin's head is the Griesmer bound at d_1 = q^delta.
+    """
+    return [(r, griesmer_lower_poly(params, r)) for r in range(1, nogin_s(params) + 1)]
 
 
 def top_weights(params):
     """(r, d_r) for the tail: d_k = n and d_{k-a} = n - (1+q+...+q^{a-1})."""
-    k = params.k
-    n = grand_total(params)
-    out = []
-    acc = Poly.zero()
-    for a in range(0, nogin_s(params) + 1):
-        r = k - a
-        if r < 1:
-            break
-        out.append((r, n - acc))
-        acc = acc + Poly.monomial(a)
-    return sorted(out)
+    k, n = params.k, grand_total(params)
+    return sorted((k - a, n - Poly((1,) * a))
+                  for a in range(nogin_s(params) + 1) if k - a >= 1)
 
 
 def d5_c25() -> Poly:
@@ -399,7 +388,7 @@ def relative_bound(union, q, guard=DEFAULT_IDEAL_GUARD):
     return best
 
 
-def union_code_params(union, field, guard=DEFAULT_IDEAL_GUARD):
+def union_code_params(union, q, guard=DEFAULT_IDEAL_GUARD):
     """Parameters and known weights of the code built on a union's points.
 
     d_1 is q to the smallest Krull dimension among the component cycles.
@@ -411,7 +400,6 @@ def union_code_params(union, field, guard=DEFAULT_IDEAL_GUARD):
     _require_l2(union.params)
     if not union.maxima:
         raise EmptyUnion("no code on the empty union")
-    q = field.q
     K = union.span()
     n_u = union.point_count()(q)
     deltas = [cell_dimension(a, 2) for a in union.maxima]

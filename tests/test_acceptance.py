@@ -13,7 +13,7 @@ from schubert_unions.grassgrid import (
     Poly,
     SchubertUnion,
     enumerate_ideals,
-    gaussian_point_count,
+    gaussian_binomial,
     grand_total,
 )
 from schubert_unions.optimizer import (
@@ -179,7 +179,7 @@ def test_criterion_7_point_enumeration():
             for q in qs:
                 field = Field(q)
                 got = sum(1 for _ in enumerate_points(field, params))
-                assert got == gaussian_point_count(params, q), (params, q)
+                assert got == gaussian_binomial(params.m, params.l, q), (params, q)
         f2 = Field(2)
         for params in (GrassParams(2, 4), GrassParams(2, 5)):
             for u in enumerate_ideals(params):

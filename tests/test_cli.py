@@ -702,3 +702,78 @@ def test_genmatrix_over_gf27(monkeypatch):
     # G(2,3) is the projective plane: 27^2 + 27 + 1 points
     assert code == 0 and len(columns) == 757
     assert gf.rank(gf.Field(27), list(zip(*columns))) == 3
+
+
+@pytest.mark.parametrize("flag_first", [True, False])
+def test_format_flag_beats_config(capsys, tmp_path, flag_first):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "csv"}))
+    base = ["krull", "--l", "2", "--m", "4", "--K", "2"]
+    flag, config = ["--format", "markdown"], ["--config", str(cfg)]
+    argv = base + (flag + config if flag_first else config + flag)
+    assert run_cli(argv, capsys)[:2] == run_cli(base, capsys)[:2]
+    code, out, _ = run_cli(base + config, capsys)
+    assert (code, out) == run_cli(base + ["--format", "csv"], capsys)[:2]
+    assert out.startswith("K,")
+
+
+@pytest.mark.parametrize("text,named", [
+    ("[1]", "does not hold a JSON object"),
+    ('"csv"', "does not hold a JSON object"),
+    ('{"guard": 1.7}', "guard must be an integer, got 1.7"),
+    ('{"guard": true}', "guard must be an integer, got true"),
+    ('{"guard": "x"}', 'guard must be an integer, got "x"'),
+    ('{"guard": null}', "guard must be an integer, got null"),
+    ('{"oracle_budget": 2.5}', "oracle_budget must be an integer, got 2.5"),
+    ('{"point_guard": false}', "point_guard must be an integer, got false"),
+], ids=["array", "string", "fraction", "boolean", "text", "null",
+        "budget-fraction", "point-guard-boolean"])
+def test_malformed_config_named(capsys, tmp_path, text, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(["weights", "--l", "2", "--m", "4", "--q", "2", "--oracle",
+                              "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config {cfg}") and named in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["1e12", "30", "30.0"])
+def test_integral_config_limits_accepted(capsys, tmp_path, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"guard": {value}, "oracle_budget": {value}}}')
+    code, out, err = run_cli(["enumerate", "--l", "2", "--m", "5",
+                              "--config", str(cfg)], capsys)
+    assert (code, err) == (0, "")
+    assert out == run_cli(["enumerate", "--l", "2", "--m", "5"], capsys)[1]
+
+
+@pytest.mark.parametrize("extra", [
+    [],
+    ["--q", "256"],
+    ["--q", "2", "--r-range", "2:4"],
+    ["--m", "5", "--q", "3", "--union", "[[1,5],[2,3]]"],
+])
+def test_weights_builds_no_field_without_oracle(capsys, monkeypatch, extra):
+    argv = ["weights", "--l", "2", "--m", "4", *extra, "--format", "json"]
+    expected = run_cli(argv, capsys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Field built")
+
+    monkeypatch.setattr(gf, "Field", refuse)
+    assert run_cli(argv, capsys) == expected
+    assert expected[0] == 0
+
+
+@pytest.mark.parametrize("q,err", [
+    ("0", "q=0 is not a prime power"),
+    ("1", "q=1 is not a prime power"),
+    ("-4", "q=-4 is not a prime power"),
+    ("12", "q=12 is not a prime power"),
+    ("100", "q=100 is not a prime power"),
+])
+@pytest.mark.parametrize("extra", [[], ["--oracle"], ["--union", "[[2,4]]"]])
+def test_bad_q_refused_on_every_weights_path(capsys, q, err, extra):
+    assert run_cli(["weights", "--l", "2", "--m", "4", "--q", q, *extra],
+                   capsys) == (2, "", f"error: {err}\n")

@@ -13,7 +13,7 @@ from schubert_unions.grassgrid import (
     down_sets,
     enumerate_ideals,
     full_grid,
-    gaussian_point_count,
+    gaussian_binomial,
     grand_total,
     grid_to_partition,
     lower_covers,
@@ -230,7 +230,7 @@ def test_grand_total_matches_product_formula():
         n = grand_total(params)
         assert n(1) == params.k
         for q in (2, 3, 4, 5):
-            assert n(q) == gaussian_point_count(params, q)
+            assert n(q) == gaussian_binomial(params.m, params.l, q)
 
 
 def test_partition_bijection_basics():
@@ -293,3 +293,45 @@ def test_validate_point_rejects_booleans():
             validate_point(params, bad)
     with pytest.raises(ValueError, match="non-integer entries"):
         SchubertUnion(params, [(True, 2)])
+
+
+def below_table_down_sets(points):
+    """down_sets as it was before it read lower covers: a table of every
+    earlier point below each point, built with point_leq."""
+    n = len(points)
+    below = []
+    for i, a in enumerate(points):
+        below.append([j for j in range(i) if point_leq(points[j], a)])
+    chosen = set()
+
+    def rec(i):
+        if i == n:
+            yield frozenset(points[j] for j in chosen)
+            return
+        yield from rec(i + 1)
+        if all(j in chosen for j in below[i]):
+            chosen.add(i)
+            yield from rec(i + 1)
+            chosen.remove(i)
+
+    yield from rec(0)
+
+
+def test_down_sets_match_below_table():
+    grids = [GrassParams(l, m) for m in range(2, 57) for l in range(1, m)
+             if GrassParams(l, m).k <= 56]
+    assert GrassParams(3, 8) in grids and GrassParams(1, 56) in grids
+    for params in grids:
+        grid = full_grid(params)
+        assert list(down_sets(grid)) == list(below_table_down_sets(grid)), params
+
+
+def test_enumerate_ideals_never_compares_points(monkeypatch):
+    from schubert_unions import grassgrid
+
+    def refuse(a, b):
+        raise AssertionError("point_leq called")
+
+    monkeypatch.setattr(grassgrid, "point_leq", refuse)
+    assert sum(1 for _ in enumerate_ideals(GrassParams(3, 6))) == 66
+    assert sum(1 for _ in enumerate_ideals(GrassParams(2, 7))) == 64

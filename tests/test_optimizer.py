@@ -266,3 +266,28 @@ def test_out_of_range_K():
         left_candidate(GrassParams(2, 5), 11)
     with pytest.raises(ValueError):
         krull_dK(GrassParams(2, 5), -1)
+
+
+def parity_krull_C(params, d):
+    """krull_C as it was before it read cardinality at the diagonal's ends."""
+    m = params.m
+    if d == -1:
+        return 0
+    if d > 2 * m - 4:
+        return float("inf")
+    if d <= m - 2:
+        return d + 1
+    x = d - m + 3
+    c1 = x * m - x * (x + 1) // 2
+    if d % 2 == 0:
+        c2 = (d * d + 6 * d + 8) // 8
+    else:
+        c2 = (d * d + 8 * d + 7) // 8
+    return min(c1, c2)
+
+
+def test_krull_C_matches_parity_forms():
+    for m in range(3, 60):
+        p = GrassParams(2, m)
+        for d in range(-1, 2 * m):
+            assert krull_C(p, d) == parity_krull_C(p, d), (m, d)

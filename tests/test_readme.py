@@ -1,0 +1,34 @@
+"""The README's Library example runs and prints the values its comments give."""
+
+import ast
+from pathlib import Path
+
+from schubert_unions import GrassParams, SchubertUnion
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def library_block():
+    section = README.split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_library_example_values():
+    block = library_block()
+    lines = block.splitlines()
+    namespace = {}
+    checked = []
+    for stmt in ast.parse(block).body:
+        _code, sep, comment = lines[stmt.end_lineno - 1].partition("#")
+        if sep:
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert value == ast.literal_eval(comment.strip()), ast.unparse(stmt)
+            checked.append(value)
+        else:
+            exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
+    assert checked == [11, "2q^5+3q^4+2q^3+2q^2+q+1", "(2,6) ∪ (3,4)", 28]
+
+
+def test_json_line_is_to_json_bytes():
+    u = SchubertUnion(GrassParams(2, 7), [(1, 7), (3, 5)])
+    assert f"`{u.to_json()}`" in README

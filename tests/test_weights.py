@@ -308,13 +308,13 @@ def test_min_weight_matches_oracle_d1():
 def test_union_code_params_examples():
     f2 = Field(2)
     u = SchubertUnion(GrassParams(2, 5), [(1, 5), (2, 3)])
-    out = union_code_params(u, f2)
+    out = union_code_params(u, f2.q)
     assert out["component_krull"] == [2, 3]
     assert out["d1"] == 4  # q^2 at q=2
-    plane = union_code_params(SchubertUnion(GrassParams(2, 5), [(2, 3)]), f2)
+    plane = union_code_params(SchubertUnion(GrassParams(2, 5), [(2, 3)]), f2.q)
     assert (plane["n"], plane["k"], plane["d1"]) == (7, 3, 4)
     for m in (4, 5):
-        full = union_code_params(SchubertUnion.full(GrassParams(2, m)), f2)
+        full = union_code_params(SchubertUnion.full(GrassParams(2, m)), f2.q)
         assert full["d1"] == 2 ** (2 * (m - 2))
 
 
@@ -333,9 +333,9 @@ def test_relative_bound_golden():
 def test_union_code_params_errors():
     f2 = Field(2)
     with pytest.raises(NotTwoDim):
-        union_code_params(SchubertUnion(GrassParams(3, 6), [(1, 3, 5)]), f2)
+        union_code_params(SchubertUnion(GrassParams(3, 6), [(1, 3, 5)]), f2.q)
     with pytest.raises(EmptyUnion):
-        union_code_params(SchubertUnion.empty(GrassParams(2, 5)), f2)
+        union_code_params(SchubertUnion.empty(GrassParams(2, 5)), f2.q)
 
 
 def test_union_records_vs_oracle_c24():
@@ -345,7 +345,7 @@ def test_union_records_vs_oracle_c24():
     for u in enumerate_ideals(params):
         if not u.maxima:
             continue
-        out = union_code_params(u, f2)
+        out = union_code_params(u, f2.q)
         gm = generator_matrix(f2, params, u)
         assert (gm.n, gm.k) == (out["n"], out["k"])
         for rec in out["records"]:
@@ -363,7 +363,7 @@ def test_union_records_vs_oracle_c25_small_spans():
     for u in enumerate_ideals(params):
         if not u.maxima or u.span() > 7:
             continue
-        out = union_code_params(u, f2)
+        out = union_code_params(u, f2.q)
         gm = generator_matrix(f2, params, u)
         for rec in out["records"]:
             d = oracle_dr(f2, gm, rec.r)
@@ -431,3 +431,47 @@ def test_zero_sets_match_dot_scan(q):
         rows = [tuple(rng.randrange(q) for _ in range(gm.k)) for _ in range(200)]
     for row in rows:
         assert zero_set(row) == _dot_scan(field, gm.columns, row), row
+
+
+def monomial_nogin_weights(params):
+    """nogin_weights as it was before it read the Griesmer polynomial."""
+    delta = params.delta
+    out = []
+    acc = Poly.zero()
+    for r in range(1, weights.nogin_s(params) + 1):
+        acc = acc + Poly.monomial(delta - r + 1)
+        out.append((r, acc))
+    return out
+
+
+def monomial_top_weights(params):
+    """top_weights as it was before it became one comprehension."""
+    k = params.k
+    n = grand_total(params)
+    out = []
+    acc = Poly.zero()
+    for a in range(0, weights.nogin_s(params) + 1):
+        r = k - a
+        if r < 1:
+            break
+        out.append((r, n - acc))
+        acc = acc + Poly.monomial(a)
+    return sorted(out)
+
+
+def test_head_and_tail_match_monomial_loops():
+    for m in range(2, 16):
+        for l in range(1, m):
+            params = GrassParams(l, m)
+            assert nogin_weights(params) == monomial_nogin_weights(params), params
+            assert top_weights(params) == monomial_top_weights(params), params
+
+
+def test_subideals_match_below_table():
+    from test_grassgrid import below_table_down_sets
+
+    for l, m, maxima in [(2, 5, [(1, 5), (2, 3)]), (2, 7, [(1, 7), (3, 5)]),
+                         (3, 6, [(1, 4, 6), (2, 3, 5)]), (2, 8, [(4, 6)])]:
+        u = SchubertUnion(GrassParams(l, m), maxima)
+        got = list(weights.enumerate_subideals(u))
+        assert got == list(below_table_down_sets(sorted(u.ideal()))), u
