@@ -50,7 +50,10 @@ def _emit_table(headers, rows, fmt, stream):
 
 
 def _parse_union(params, text) -> SchubertUnion:
-    maxima = json.loads(text)
+    try:
+        maxima = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"--union {text} is not valid JSON: {exc}") from None
     if not isinstance(maxima, list) or not all(isinstance(a, list) for a in maxima):
         raise ValueError(f"--union must be a JSON list of points such as [[3,5]],"
                          f" got {text}")
@@ -375,6 +378,8 @@ def _resolve_defaults(args):
                 config = json.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read config {args.config}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise ValueError(f"config {args.config} is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
             raise ValueError(f"config {args.config} does not hold a JSON object")
     limits = {"guard": os.environ.get(GUARD_ENV, DEFAULT_IDEAL_GUARD),
@@ -389,7 +394,12 @@ def _resolve_defaults(args):
             if name in config and not integral:
                 raise ValueError(f"config {args.config}: {name} must be an integer,"
                                  f" got {json.dumps(value)}")
-            value = int(value)
+            try:
+                value = int(value)
+            except ValueError:
+                # only the environment variable can fail here: config values were checked
+                raise ValueError(f"{GUARD_ENV} must be an integer,"
+                                 f" got {json.dumps(value)}") from None
             setattr(args, name, value)
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")

@@ -8,6 +8,7 @@ points.  Counting cells by dimension gives the point-count polynomial g_U(q).
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import re
@@ -24,6 +25,14 @@ class TooLarge(RuntimeError):
 
 
 DEFAULT_IDEAL_GUARD = 28
+
+
+def count_text(n):
+    """`n` in decimal, or the largest power of 2 not above it if str() refuses."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
 
 
 @dataclass(frozen=True)
@@ -197,12 +206,16 @@ def lower_covers(a):
         prev = x
 
 
-def upper_covers(a, m):
-    """Grid points one step above `a` in a single coordinate, within 1..m."""
-    for i, x in enumerate(a):
-        nxt = a[i + 1] if i + 1 < len(a) else m + 1
-        if x + 1 < nxt:
-            yield a[:i] + (x + 1,) + a[i + 1:]
+def down_closure(points):
+    """The smallest downward-closed set holding `points`, as a frozenset."""
+    seen = set(points)
+    stack = list(seen)
+    while stack:
+        for beta in lower_covers(stack.pop()):
+            if beta not in seen:
+                seen.add(beta)
+                stack.append(beta)
+    return frozenset(seen)
 
 
 def validate_point(params, alpha):
@@ -224,6 +237,12 @@ def full_grid(params):
 def cell_dimension(alpha, l):
     """Dimension of the affine cell indexed by alpha: sum(a_i) - l(l+1)/2."""
     return sum(alpha) - l * (l + 1) // 2
+
+
+def cell_count(points, l) -> Poly:
+    """The cells indexed by `points` counted by dimension: F_q-points at q."""
+    counts = collections.Counter(cell_dimension(alpha, l) for alpha in points)
+    return Poly(counts[e] for e in range(max(counts, default=-1) + 1))
 
 
 class SchubertUnion:
@@ -248,13 +267,12 @@ class SchubertUnion:
         """Union whose ideal is the down-set `pts`, built without checks.
 
         `pts` must be a frozenset of valid grid points that is downward
-        closed; the maxima are its points with no upper cover in it.
+        closed; the maxima are its points that are no point's lower cover.
         """
-        m = params.m
+        covered = {b for a in pts for b in lower_covers(a)}
         u = object.__new__(cls)
         object.__setattr__(u, "params", params)
-        object.__setattr__(u, "maxima", tuple(sorted(
-            a for a in pts if not any(b in pts for b in upper_covers(a, m)))))
+        object.__setattr__(u, "maxima", tuple(sorted(pts - covered)))
         object.__setattr__(u, "_ideal", pts)
         return u
 
@@ -274,18 +292,9 @@ class SchubertUnion:
 
     def ideal(self):
         """The downward-closed grid subset G_U generated by the maxima."""
-        cached = self._ideal
-        if cached is None:
-            seen = set(self.maxima)
-            stack = list(self.maxima)
-            while stack:
-                for beta in lower_covers(stack.pop()):
-                    if beta not in seen:
-                        seen.add(beta)
-                        stack.append(beta)
-            cached = frozenset(seen)
-            object.__setattr__(self, "_ideal", cached)
-        return cached
+        if self._ideal is None:
+            object.__setattr__(self, "_ideal", down_closure(self.maxima))
+        return self._ideal
 
     def h_ideal(self):
         """The complement H_U of G_U in the full grid (an up-set)."""
@@ -297,20 +306,11 @@ class SchubertUnion:
 
     def point_count(self) -> Poly:
         """g_U(q): cells of G_U counted by dimension."""
-        counts = {}
-        l = self.params.l
-        for alpha in self.ideal():
-            e = cell_dimension(alpha, l)
-            counts[e] = counts.get(e, 0) + 1
-        if not counts:
-            return Poly()
-        return Poly(tuple(counts.get(i, 0) for i in range(max(counts) + 1)))
+        return cell_count(self.ideal(), self.params.l)
 
     def krull(self) -> int:
         """Krull dimension: max cell dimension over maxima, -1 when empty."""
-        if not self.maxima:
-            return -1
-        return max(cell_dimension(a, self.params.l) for a in self.maxima)
+        return max((cell_dimension(a, self.params.l) for a in self.maxima), default=-1)
 
     def label(self) -> str:
         if not self.maxima:
@@ -343,18 +343,13 @@ class SchubertUnion:
 def canonicalize(params, points):
     """Union whose ideal is `points`; raises NotDownwardClosed unless an ideal.
 
-    A downward-closed set is recognised by its lower covers, its maxima are
-    the points with no upper cover in the set, and the set itself becomes
-    the union's ideal: linear in the set's size.  Only a set that is not
-    downward closed takes the pairwise path, to name the points missing
-    below its maxima.
+    The message names points that the set's down-closure adds.
     """
     pts = frozenset(validate_point(params, p) for p in points)
-    if all(b in pts for a in pts for b in lower_covers(a)):
-        return SchubertUnion._from_down_set(params, pts)
-    maxima = [a for a in pts if not any(a != b and point_leq(a, b) for b in pts)]
-    missing = sorted(SchubertUnion(params, maxima).ideal() - pts)
-    raise NotDownwardClosed(f"missing points below maxima, e.g. {missing[:3]}")
+    missing = down_closure(pts) - pts
+    if missing:
+        raise NotDownwardClosed(f"missing points below maxima, e.g. {sorted(missing)[:3]}")
+    return SchubertUnion._from_down_set(params, pts)
 
 
 def down_sets(points):
@@ -383,10 +378,9 @@ def down_sets(points):
 
 def enumerate_ideals(params, guard=DEFAULT_IDEAL_GUARD):
     """Yield every Schubert union of G(l,m) exactly once, canonically."""
-    grid = full_grid(params)
-    if len(grid) > guard:
-        raise TooLarge(f"grid has {len(grid)} points, guard is {guard}")
-    for ideal in down_sets(grid):
+    if params.k > guard:
+        raise TooLarge(f"grid has {count_text(params.k)} points, guard is {guard}")
+    for ideal in down_sets(full_grid(params)):
         yield SchubertUnion._from_down_set(params, ideal)
 
 

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from . import gf
-from .grassgrid import SchubertUnion, TooLarge, full_grid
+from .grassgrid import SchubertUnion, TooLarge, count_text, full_grid
 
 DEFAULT_POINT_GUARD = 10 ** 7
 
@@ -61,7 +61,7 @@ def enumerate_points(field, params, union=None, guard=DEFAULT_POINT_GUARD):
     whole = union if union is not None else SchubertUnion.full(params)
     expected = whole.point_count()(field.q)
     if expected > guard:
-        raise TooLarge(f"enumeration of {expected} points exceeds guard {guard}")
+        raise TooLarge(f"enumeration of {count_text(expected)} points exceeds guard {guard}")
     for alpha in sorted(whole.ideal()):
         for mat in cell_matrices(field, params, alpha):
             yield alpha, pluecker_vector(field, params, mat)

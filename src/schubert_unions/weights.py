@@ -27,7 +27,9 @@ from .grassgrid import (
     GrassParams,
     Poly,
     TooLarge,
+    cell_count,
     cell_dimension,
+    count_text,
     down_sets,
     gaussian_binomial,
     grand_total,
@@ -144,8 +146,9 @@ def weight_table(params, q=None, guard=DEFAULT_IDEAL_GUARD):
 
     Symbolic rows when q is None, evaluated integers otherwise.
     """
-    known = known_dr(params)
+    # the guarded table first: the tail formulas need the whole grid's g
     table = bound_table(params, guard)
+    known = known_dr(params)
     records = []
     for r in range(1, params.k + 1):
         if r in known:
@@ -337,7 +340,7 @@ def check_oracle_budget(k, q, rs, budget):
         count = gaussian_binomial(k, r, q)
         if count > budget:
             raise BudgetExceeded(
-                f"r={r} sweep needs {count} subspaces, budget is {budget}")
+                f"r={r} sweep needs {count_text(count)} subspaces, budget is {budget}")
 
 
 def oracle_dr(field, genmat, r, budget=DEFAULT_ORACLE_BUDGET) -> int:
@@ -382,7 +385,7 @@ def relative_bound(union, q, guard=DEFAULT_IDEAL_GUARD):
     best = {}
     for sub in enumerate_subideals(union, guard):
         r = K - len(sub)
-        pts = sum(q ** cell_dimension(a, l) for a in sub)
+        pts = cell_count(sub, l)(q)
         if pts > best.get(r, -1):
             best[r] = pts
     return best

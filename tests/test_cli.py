@@ -581,6 +581,16 @@ def test_weights_oracle_ignores_ideal_guard(capsys, monkeypatch):
     assert json.loads(out) == [{"r": 35, "source": "Oracle", "value": 11811}]
 
 
+def test_weights_guard_before_grand_total(capsys, monkeypatch):
+    # the ideal guard refuses before the tail formulas need the whole grid's g
+    def refuse(params):
+        raise AssertionError("grand_total called")
+    monkeypatch.setattr(weights, "grand_total", refuse)
+    monkeypatch.delenv("SCHUBERT_UNIONS_GUARD", raising=False)
+    assert run_cli(["weights", "--l", "3", "--m", "300"], capsys) == \
+        (3, "", "error: grid has 4455100 points, guard is 28\n")
+
+
 def test_dual_json_skips_explicit_dual(capsys, monkeypatch):
     calls = []
     explicit = duality.dual_union_explicit
@@ -662,6 +672,16 @@ REFUSALS = [
     (["weights", "--l", "2", "--m", "5", "--union", "[[1,5],[2,3]]"], 2,
      "error: --union needs --q\n"),
     (["experiment", "Q4", "--l", "2", "--m", "4"], 2, "error: Q4 needs --q\n"),
+    # the guard reads binomial(m, l) before any grid point is built
+    (["enumerate", "--l", "2", "--m", "100000"], 3,
+     "error: grid has 4999950000 points, guard is 28\n"),
+    # counts past str()'s 4300-digit limit print as the largest power of 2 not above
+    (["weights", "--l", "2", "--m", "200", "--q", "2", "--oracle", "--r-range", "1:1"], 3,
+     "error: r=1 sweep needs at least 2^19899 subspaces, budget is 20000000\n"),
+    (["experiment", "Q4", "--l", "2", "--m", "200", "--q", "2"], 3,
+     "error: r=1 sweep needs at least 2^19899 subspaces, budget is 20000000\n"),
+    (["genmatrix", "--l", "2", "--m", "1000", "--q", "256"], 3,
+     "error: enumeration of at least 2^15968 points exceeds guard 10000000\n"),
 ]
 
 
@@ -726,8 +746,9 @@ def test_format_flag_beats_config(capsys, tmp_path, flag_first):
     ('{"guard": null}', "guard must be an integer, got null"),
     ('{"oracle_budget": 2.5}', "oracle_budget must be an integer, got 2.5"),
     ('{"point_guard": false}', "point_guard must be an integer, got false"),
+    ('{"guard": ', "is not valid JSON: Expecting value: line 1 column 11 (char 10)"),
 ], ids=["array", "string", "fraction", "boolean", "text", "null",
-        "budget-fraction", "point-guard-boolean"])
+        "budget-fraction", "point-guard-boolean", "truncated"])
 def test_malformed_config_named(capsys, tmp_path, text, named):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -736,6 +757,23 @@ def test_malformed_config_named(capsys, tmp_path, text, named):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: config {cfg}") and named in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("union", ["[[3,5]", "[[3,5]]]", "three-five"])
+def test_union_malformed_json_named(capsys, union):
+    code, out, err = run_cli(["dual", "--l", "2", "--m", "7", "--union", union], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --union {union} is not valid JSON: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "1e3", ""])
+def test_guard_variable_malformed_named(capsys, monkeypatch, value):
+    monkeypatch.setenv("SCHUBERT_UNIONS_GUARD", value)
+    assert run_cli(["enumerate", "--l", "2", "--m", "4"], capsys) == \
+        (2, "", f"error: SCHUBERT_UNIONS_GUARD must be an integer, got {json.dumps(value)}\n")
+    # a --guard flag leaves the variable unread
+    assert run_cli(["enumerate", "--l", "2", "--m", "4", "--guard", "28"], capsys)[0] == 0
 
 
 @pytest.mark.parametrize("value", ["1e12", "30", "30.0"])

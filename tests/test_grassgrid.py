@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,6 +11,8 @@ from schubert_unions.grassgrid import (
     TooLarge,
     canonicalize,
     cell_dimension,
+    count_text,
+    down_closure,
     down_sets,
     enumerate_ideals,
     full_grid,
@@ -20,7 +23,6 @@ from schubert_unions.grassgrid import (
     partition_to_grid,
     partition_weight,
     point_leq,
-    upper_covers,
     validate_point,
 )
 
@@ -119,9 +121,52 @@ def test_covers_are_one_step_neighbours(params):
     grid = full_grid(params)
     for a in grid:
         below = [b for b in grid if point_leq(b, a) and sum(a) - sum(b) == 1]
-        above = [b for b in grid if point_leq(a, b) and sum(b) - sum(a) == 1]
         assert sorted(lower_covers(a)) == below
-        assert sorted(upper_covers(a, params.m)) == above
+
+
+def stack_walk_ideal(maxima):
+    """SchubertUnion.ideal() as it was before the walk became down_closure."""
+    seen = set(maxima)
+    stack = list(maxima)
+    while stack:
+        for beta in lower_covers(stack.pop()):
+            if beta not in seen:
+                seen.add(beta)
+                stack.append(beta)
+    return frozenset(seen)
+
+
+def pairwise_refusal(pts):
+    """canonicalize's message for a set that is not downward closed, as it
+    was built from the pairwise maxima before it read the down-closure."""
+    maxima = pairwise_maxima(pts)
+    missing = sorted(stack_walk_ideal(maxima) - pts)
+    return f"missing points below maxima, e.g. {missing[:3]}"
+
+
+@pytest.mark.parametrize("params", [GrassParams(3, 7), GrassParams(3, 8),
+                                    GrassParams(2, 10), GrassParams(4, 8)], ids=repr)
+def test_lower_cover_maxima_and_closure_match_old_rules(params):
+    for pts in down_sets(full_grid(params)):
+        u = SchubertUnion._from_down_set(params, pts)
+        assert u.maxima == pairwise_maxima(pts)
+        assert down_closure(u.maxima) == stack_walk_ideal(u.maxima) == pts
+
+
+def test_canonicalize_refusal_matches_pairwise_path():
+    rng = random.Random(14)
+    grids = [GrassParams(2, 7), GrassParams(3, 7), GrassParams(2, 10), GrassParams(4, 8)]
+    refused = 0
+    while refused < 200:
+        params = rng.choice(grids)
+        grid = full_grid(params)
+        pts = frozenset(rng.sample(grid, rng.randint(1, len(grid) // 2)))
+        if stack_walk_ideal(pts) == pts:
+            continue
+        with pytest.raises(NotDownwardClosed) as info:
+            canonicalize(params, pts)
+        assert str(info.value) == pairwise_refusal(pts)
+        refused += 1
 
 
 @pytest.mark.parametrize("l, m, pts, message", [
@@ -197,6 +242,27 @@ def test_enumerate_guard():
     with pytest.raises(TooLarge):
         list(enumerate_ideals(GrassParams(2, 9)))
     assert sum(1 for _ in enumerate_ideals(GrassParams(2, 9), guard=36)) == 256
+
+
+def test_enumerate_guard_builds_no_grid(monkeypatch):
+    from schubert_unions import grassgrid
+
+    def refuse(params):
+        raise AssertionError("full_grid called")
+
+    monkeypatch.setattr(grassgrid, "full_grid", refuse)
+    with pytest.raises(TooLarge, match="grid has 4999950000 points, guard is 28"):
+        next(enumerate_ideals(GrassParams(2, 100000)))
+    with pytest.raises(TooLarge, match="grid has 36 points, guard is 35"):
+        next(enumerate_ideals(GrassParams(2, 9), guard=35))
+
+
+def test_count_text_never_fails():
+    assert count_text(53743987) == "53743987"
+    assert count_text(10 ** 4299) == str(10 ** 4299)
+    # past str()'s default limit of 4300 digits: the largest power of 2 not above
+    assert count_text(2 ** 20000) == "at least 2^20000"
+    assert count_text(3 * 2 ** 20000) == "at least 2^20001"
 
 
 def test_intersection_of_cycle_ideals_is_min_tuple():

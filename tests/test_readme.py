@@ -1,9 +1,14 @@
-"""The README's Library example runs and prints the values its comments give."""
+"""The README's Library example runs and prints the values its comments give,
+and every line of its CLI block runs."""
 
 import ast
+import re
+import shlex
 from pathlib import Path
 
-from schubert_unions import GrassParams, SchubertUnion
+import pytest
+
+from schubert_unions import GrassParams, SchubertUnion, cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -32,3 +37,26 @@ def test_library_example_values():
 def test_json_line_is_to_json_bytes():
     u = SchubertUnion(GrassParams(2, 7), [(1, 7), (3, 5)])
     assert f"`{u.to_json()}`" in README
+
+
+def cli_lines():
+    section = README.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("schubert-unions ")]
+
+
+def test_cli_block_lists_every_command():
+    commands = {shlex.split(line)[1] for line in cli_lines()}
+    assert commands == set(cli.HANDLERS)
+
+
+@pytest.mark.parametrize("line", cli_lines())
+def test_cli_block_line_runs(line, capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv(cli.GUARD_ENV, raising=False)
+    # the bracketed flags are optional: the line runs without them
+    argv = shlex.split(re.sub(r"\[--[^]]*\]", "", line), comments=True)[1:]
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv[i] = str(tmp_path / argv[i])
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert capsys.readouterr().err == ""
