@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from schubert_unions import cli, duality, gf, weights
+from schubert_unions import cli, duality, gf, pluecker, weights
 from schubert_unions.cli import FORMATS, main
 
 from table_fixtures import DIRECTIONS
@@ -157,6 +157,25 @@ GENMATRIX_GOLDEN = [
      "79acf8f17737b986c12e74d7b5ad0b1c3873dc8aeb9cf6c23a9158d1491db1b4"),
     ("--l 2 --m 5 --q 5 --binary",
      "65f0ed924cfd6b74e9679b665cf307a6ac25a62181ea12c0c58854c5f1aff446"),
+    # recorded from one gf.maximal_minors expansion per point, for the shapes
+    # the last-row walk treats apart: l = 1, a one-slot last row (l = m - 1),
+    # many short last rows, and the union's row restriction
+    ("--l 1 --m 6 --q 5",
+     "190e56ce95090855f385ecc96597aa6ae3a5bc30e67236485caca323bb28edb1"),
+    ("--l 3 --m 4 --q 3",
+     "fbc218bc62b07605f4c81747667940adf16a3357689f51ddc23b37bfdda2bbeb"),
+    ("--l 4 --m 6 --q 2",
+     "0bc1485f9c08d51a36e6cd4997b794080536c9c2a25aa79f3968adbeacf171e3"),
+    ("--l 2 --m 7 --q 2",
+     "dabdda39499e533d3c8edddad13066b0f89dae5d83b7dd1d625997568a8f7ff2"),
+    ("--l 2 --m 5 --q 8 --union [[2,5],[3,4]]",
+     "322bcd585b52b56e746010294b30a8b0938a6c90e60a5e326829a54cc9958916"),
+    ("--l 2 --m 5 --q 9 --union [[1,5],[3,4]] --binary",
+     "0481d2404be248c0a5e2ddfffeef237289860f2091c968b11160c467a4e6c585"),
+    ("--l 3 --m 5 --q 8 --union [[1,4,5],[2,3,5]]",
+     "b12ad4ff0121ee96c6e5f59b60082cd9d5240ed8603f0ca249e03158bebb252f"),
+    ("--l 3 --m 5 --q 9 --union [[1,4,5],[2,3,5]] --binary",
+     "57d370127e3060f4b3bd50565898ae345749f7b0736bece743f05078547ff04d"),
 ]
 
 
@@ -689,6 +708,21 @@ REFUSALS = [
 def test_refusal_stderr(capsys, monkeypatch, argv, code, err):
     monkeypatch.delenv("SCHUBERT_UNIONS_GUARD", raising=False)
     assert run_cli(argv, capsys) == (code, "", err)
+
+
+@pytest.mark.parametrize("union,count", [
+    ([], "at least 2^15968"),
+    (["--union", "[[1,5]]"], "16843009"),   # 1 + 256 + 256^2 + 256^3
+])
+def test_genmatrix_guard_builds_no_grid(capsys, monkeypatch, union, count):
+    def no_grid(params):
+        raise AssertionError("full_grid called before the point guard")
+
+    monkeypatch.delenv("SCHUBERT_UNIONS_GUARD", raising=False)
+    monkeypatch.setattr(pluecker, "full_grid", no_grid)
+    argv = ["genmatrix", "--l", "2", "--m", "1000", "--q", "256", *union]
+    assert run_cli(argv, capsys) == \
+        (3, "", f"error: enumeration of {count} points exceeds guard 10000000\n")
 
 
 @pytest.mark.parametrize("text", ["x", "1:2:3", ":3", "2:"])

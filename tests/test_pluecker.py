@@ -119,6 +119,41 @@ def test_vector_matches_det_every_point(l, m, q):
                 minors_by_det(field, mat), (alpha, mat)
 
 
+def reference_points(field, params, union=None):
+    """The single-matrix stream: every cell's reduced matrices, one
+    `pluecker_vector` each, cells in lex order."""
+    cells = full_grid(params) if union is None else sorted(union.ideal())
+    for alpha in cells:
+        for mat in cell_matrices(field, params, alpha):
+            yield alpha, pluecker_vector(field, params, mat)
+
+
+def assert_reference_stream(field, params, union=None):
+    pairs = zip(reference_points(field, params, union),
+                enumerate_points(field, params, union), strict=True)
+    for i, (want, got) in enumerate(pairs):
+        assert got == want, (params, field.q, union, i)
+
+
+@pytest.mark.parametrize("l,m,q", EVERY_POINT)
+def test_enumerate_points_is_the_reference_stream(l, m, q):
+    assert_reference_stream(Field(q), GrassParams(l, m))
+
+
+@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("q", [2, 3])
+def test_enumerate_points_every_union(l, q):
+    field, params = Field(q), GrassParams(l, 5)
+    for u in enumerate_ideals(params):
+        assert_reference_stream(field, params, u)
+
+
+@pytest.mark.parametrize("q", [16, 25, 27])
+def test_enumerate_points_default_modulus_fields(q):
+    # 70,161 / 407,526 / 552,610 points
+    assert_reference_stream(Field(q), GrassParams(2, 4))
+
+
 @pytest.mark.parametrize("l,m,q", [(2, 5, 8), (2, 5, 9), (3, 5, 8), (3, 5, 9)])
 def test_vector_matches_det_sampled_points(l, m, q):
     # 0.3M-0.6M points each: every cell, a fixed sample of its free entries
@@ -198,6 +233,19 @@ def test_point_guard():
     with pytest.raises(TooLarge):
         list(enumerate_points(f2, GrassParams(2, 5), guard=100))
     assert grand_total(GrassParams(2, 5))(2) == 155
+
+
+@pytest.mark.parametrize("maxima", [[], [(1, 2)], [(1, 4)], [(2, 3)], [(1, 5), (2, 3)]])
+def test_union_rows_restrict_the_full_vectors(maxima):
+    # k = 0 and k = 1 are the shapes a single itemgetter cannot gather
+    f3 = Field(3)
+    params = GrassParams(2, 5)
+    u = SchubertUnion(params, maxima)
+    gm = generator_matrix(f3, params, u)
+    idx = [full_grid(params).index(t) for t in gm.rows]
+    assert gm.columns == tuple(tuple(vec[i] for i in idx)
+                               for _alpha, vec in enumerate_points(f3, params, u))
+    assert gm.entries() == [[col[i] for col in gm.columns] for i in range(gm.k)]
 
 
 def test_exports():
