@@ -248,19 +248,30 @@ def cell_count(points, l) -> Poly:
 class SchubertUnion:
     """A union of Schubert cycles, canonically the antichain of grid maxima."""
 
-    __slots__ = ("params", "maxima", "_ideal")
+    __slots__ = ("params", "maxima", "_ideal", "_g")
 
     def __init__(self, params, maxima):
         pts = sorted(validate_point(params, a) for a in maxima)
         for a, b in itertools.combinations(pts, 2):
             if point_leq(a, b) or point_leq(b, a):
                 raise ValueError(f"maxima {a} and {b} are comparable, not an antichain")
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "maxima", tuple(pts))
-        object.__setattr__(self, "_ideal", None)
+        self._fill(params, tuple(pts), None, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SchubertUnion is immutable")
+
+    def _fill(self, params, maxima, ideal, g):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "maxima", maxima)
+        object.__setattr__(self, "_ideal", ideal)
+        object.__setattr__(self, "_g", g)
+
+    @classmethod
+    def _build(cls, params, maxima, ideal, g):
+        """Union with these fields, unchecked; a None ideal or g is computed on use."""
+        u = object.__new__(cls)
+        u._fill(params, maxima, ideal, g)
+        return u
 
     @classmethod
     def _from_down_set(cls, params, pts):
@@ -270,11 +281,7 @@ class SchubertUnion:
         closed; the maxima are its points that are no point's lower cover.
         """
         covered = {b for a in pts for b in lower_covers(a)}
-        u = object.__new__(cls)
-        object.__setattr__(u, "params", params)
-        object.__setattr__(u, "maxima", tuple(sorted(pts - covered)))
-        object.__setattr__(u, "_ideal", pts)
-        return u
+        return cls._build(params, tuple(sorted(pts - covered)), pts, None)
 
     @classmethod
     def empty(cls, params):
@@ -305,7 +312,12 @@ class SchubertUnion:
         return len(self.ideal())
 
     def point_count(self) -> Poly:
-        """g_U(q): cells of G_U counted by dimension."""
+        """g_U(q): cells of G_U counted by dimension.
+
+        Read from the enumeration for unions `enumerate_ideals` built.
+        """
+        if self._g is not None:
+            return self._g
         return cell_count(self.ideal(), self.params.l)
 
     def krull(self) -> int:
@@ -352,36 +364,63 @@ def canonicalize(params, points):
     return SchubertUnion._from_down_set(params, pts)
 
 
+def _walk(points):
+    """Every down-set of `points` as (ideal mask, maxima mask, cell counts).
+
+    Bit i stands for points[i].  `points` must be a down-set sorted
+    lexicographically, a linear extension of the grid order, so each point's
+    lower covers precede it and a point added after the current ones lies
+    above none of them.  A frame is (next index, ideal, maxima, counts); point
+    j >= next may join when its lower covers are all chosen, which drops them
+    from the maxima, makes j a maximum and adds one cell of j's dimension.
+    Frames are pushed in ascending j and popped in descending j, so the sets
+    come in ascending order of their characteristic vectors read as binary
+    numbers, first point most significant.
+    """
+    index = {a: i for i, a in enumerate(points)}
+    covers = [sum(1 << index[b] for b in lower_covers(a)) for a in points]
+    dims = [cell_dimension(a, len(a)) for a in points]
+    n = len(points)
+    stack = [(0, 0, 0, (0,) * (max(dims, default=-1) + 1))]
+    while stack:
+        nxt, ideal, maxima, counts = frame = stack.pop()
+        yield frame
+        for j in range(nxt, n):
+            cov = covers[j]
+            if ideal & cov == cov:
+                d = dims[j]
+                stack.append((j + 1, ideal | 1 << j, maxima & ~cov | 1 << j,
+                              counts[:d] + (counts[d] + 1,) + counts[d + 1:]))
+
+
+def _picked(points, mask):
+    """The points at the set bits of `mask`, in the order of `points`."""
+    # bin() gives '0b' and the bits highest first; [:1:-1] reverses past it
+    return itertools.compress(points, map("1".__eq__, bin(mask)[:1:-1]))
+
+
 def down_sets(points):
     """Yield every downward-closed subset of `points`, as a frozenset.
 
-    `points` must be a down-set sorted lexicographically, so each point's
-    lower covers (at most l) precede it; a point joins a partial down-set
-    when they are chosen.  The work is linear in the output count.
+    `points` must be a down-set sorted lexicographically (see `_walk`).  Each
+    set costs one stack frame, one bitmask test for each point after the last
+    one it added, and the frozenset: O(len(points)) steps per set.
     """
-    n = len(points)
-    covers = [tuple(lower_covers(a)) for a in points]
-    chosen = set()
-
-    def rec(i):
-        if i == n:
-            yield frozenset(chosen)
-            return
-        yield from rec(i + 1)
-        if all(b in chosen for b in covers[i]):
-            chosen.add(points[i])
-            yield from rec(i + 1)
-            chosen.remove(points[i])
-
-    yield from rec(0)
+    for _nxt, ideal, _maxima, _counts in _walk(points):
+        yield frozenset({*_picked(points, ideal)})
 
 
 def enumerate_ideals(params, guard=DEFAULT_IDEAL_GUARD):
-    """Yield every Schubert union of G(l,m) exactly once, canonically."""
+    """Yield every Schubert union of G(l,m) exactly once, canonically.
+
+    Each union carries its maxima, ideal and point count from the walk.
+    """
     if params.k > guard:
         raise TooLarge(f"grid has {count_text(params.k)} points, guard is {guard}")
-    for ideal in down_sets(full_grid(params)):
-        yield SchubertUnion._from_down_set(params, ideal)
+    grid = full_grid(params)
+    for _nxt, ideal, maxima, counts in _walk(grid):
+        yield SchubertUnion._build(params, tuple(_picked(grid, maxima)),
+                                   frozenset({*_picked(grid, ideal)}), Poly(counts))
 
 
 def grand_total(params) -> Poly:

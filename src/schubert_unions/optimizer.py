@@ -189,14 +189,22 @@ def krull_C(params, d):
 
 
 def krull_dK(params, K) -> int:
-    """Largest Krull dimension among l=2 unions of spanning dimension <= K."""
+    """Largest Krull dimension among l=2 unions of spanning dimension <= K.
+
+    The largest d with C(d) <= K, by bisection: C is nondecreasing, with
+    C(-1) = 0 <= K and C(2m-3) infinite.
+    """
     _require_l2(params)
     if not (0 <= K <= params.k):
         raise ValueError(f"K={K} out of range 0..{params.k}")
-    d = -1
-    while krull_C(params, d + 1) <= K:
-        d += 1
-    return d
+    lo, hi = -1, 2 * params.m - 3
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if krull_C(params, mid) <= K:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def admissible(params, point) -> bool:

@@ -133,15 +133,15 @@ def test_criterion_4_direction_tables():
 
 def test_criterion_5_optimizer_oracle_equivalence():
     with Criterion(5, "J_r equals exhaustive maximum; two-cycle optimality", 60.0):
-        for params in [GrassParams(2, m) for m in range(3, 9)] + [GrassParams(3, 6)]:
+        for params in [GrassParams(2, m) for m in range(3, 15)] + [GrassParams(3, 6)]:
             fast = bound_table(params)
-            slow = exhaustive_bound_table(params)
+            slow = exhaustive_bound_table(params, guard=params.k)
             for r in range(params.k + 1):
                 assert fast.row(r).J == slow.row(r).J, (params, r)
-        for m in range(3, 9):
+        for m in range(3, 13):
             params = GrassParams(2, m)
             best = {}
-            for u in enumerate_ideals(params):
+            for u in enumerate_ideals(params, guard=params.k):
                 K, g = u.span(), u.point_count()
                 have = best.get(K)
                 if have is None or g > have[0]:

@@ -560,6 +560,28 @@ CLI_GOLDEN = {
         "dd62421e076e5938c6055431d7bbeb49827c75db3b72db0c3e91831fb672aa3f",
         "3c2c0c5948e7b1f65044405fcafbf8c4a84c102815092c76c9150566d758baf8",
     ),
+    # exhaustive enumerations past G(3,6), recorded while down_sets was a
+    # recursive generator and each union rebuilt its maxima and g_U(q)
+    "enumerate --l 3 --m 8 --guard 56": (
+        "e1134dedfafb491fd32a258f433bc6bb5f83128b77042e199cccbfa3eb4fed8b",
+        "98b547f1aa24a4467b57787ae7b89a960062e1a58e01b0fbc4e87ce7836ed217",
+        "d25c64f1e0769518988286b65e45fc87befb0c9904046f4b2f28511ddd3c8aac",
+    ),
+    "enumerate --l 2 --m 10 --guard 45": (
+        "fcecb9cb5b91739b461d3c0ef57116c522ca3e23fef61d3b719c3ca1042a8755",
+        "c17c7012b7877120c50c0c2af9e1c1adf2b14159fa041bb1a2ff9ad6044e7cf8",
+        "9c54238008920a82f255a9ae96a0122efd3046d38a3f75df09dca8bd32dd9403",
+    ),
+    "experiment Q8 --l 2 --m 11 --guard 55": (
+        "d9c32a7b4924b3d08b289521b1de250dcd6b4e55fa485dc914f8cbc0762d679e",
+        "d9c32a7b4924b3d08b289521b1de250dcd6b4e55fa485dc914f8cbc0762d679e",
+        "39627419d7626d5a0916f1b878225fd2758f1c101647bf0419ca4563bdcb92b4",
+    ),
+    "bounds --l 4 --m 8 --guard 70": (
+        "83cd2f6ed6e2cf3ac7e3e9a8376afa3f197371ec26980fbfe81ce5b417a97264",
+        "b2c783ab0df722d6ea61cc650bd54817bd7c600c984a47fb6730f5b4ae88ffa1",
+        "45b53437cf9a2f6918196b76ea2bbd96ca7738046cd952d15e610ef4cd6d7ed9",
+    ),
 }
 
 

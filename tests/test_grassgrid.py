@@ -10,6 +10,7 @@ from schubert_unions.grassgrid import (
     SchubertUnion,
     TooLarge,
     canonicalize,
+    cell_count,
     cell_dimension,
     count_text,
     down_closure,
@@ -385,11 +386,30 @@ def below_table_down_sets(points):
 
 def test_down_sets_match_below_table():
     grids = [GrassParams(l, m) for m in range(2, 57) for l in range(1, m)
-             if GrassParams(l, m).k <= 56]
+             if GrassParams(l, m).k <= 56] + [GrassParams(4, 8)]
     assert GrassParams(3, 8) in grids and GrassParams(1, 56) in grids
     for params in grids:
         grid = full_grid(params)
-        assert list(down_sets(grid)) == list(below_table_down_sets(grid)), params
+        reference = list(below_table_down_sets(grid))
+        assert list(down_sets(grid)) == reference, params
+        # the walk's maxima and g_U(q) agree with rebuilding them per ideal
+        unions = list(enumerate_ideals(params, guard=params.k))
+        assert len(unions) == len(reference), params
+        for u, pts in zip(unions, reference):
+            rebuilt = SchubertUnion._from_down_set(params, pts)
+            assert u.maxima == rebuilt.maxima and u.ideal() == pts, (params, pts)
+            assert u.point_count() == cell_count(pts, params.l), (params, pts)
+    assert list(down_sets([])) == [frozenset()]
+
+
+def test_enumerated_point_counts_are_read(monkeypatch):
+    from schubert_unions import grassgrid
+
+    def refuse(points, l):
+        raise AssertionError("cell_count called")
+
+    monkeypatch.setattr(grassgrid, "cell_count", refuse)
+    assert all(u.point_count()(1) == u.span() for u in enumerate_ideals(GrassParams(3, 6)))
 
 
 def test_enumerate_ideals_never_compares_points(monkeypatch):

@@ -134,19 +134,19 @@ def test_bound_table_monotone_and_edges():
 
 
 def test_bound_table_matches_exhaustive():
-    for params in [GrassParams(2, m) for m in range(3, 9)] + [GrassParams(3, 6)]:
+    for params in [GrassParams(2, m) for m in range(3, 15)] + [GrassParams(3, 6)]:
         fast = bound_table(params)
-        slow = exhaustive_bound_table(params)
+        slow = exhaustive_bound_table(params, guard=params.k)
         for r in range(params.k + 1):
             assert fast.row(r).J == slow.row(r).J, (params, r)
 
 
 def test_two_cycle_optimality():
     # some lex-maximal union with at most two maxima exists for every K
-    for m in range(3, 9):
+    for m in range(3, 13):
         params = GrassParams(2, m)
         best = {}
-        for u in enumerate_ideals(params):
+        for u in enumerate_ideals(params, guard=params.k):
             K = u.span()
             g = u.point_count()
             have = best.get(K)
@@ -208,11 +208,35 @@ def test_krull_dK_examples():
     assert krull_dK(GrassParams(2, 5), 10) == 6
 
 
+def test_krull_C_nondecreasing():
+    # krull_dK bisects on this
+    for m in range(3, 60):
+        p = GrassParams(2, m)
+        values = [krull_C(p, d) for d in range(-1, 2 * m - 2)]
+        assert values == sorted(values), m
+        assert values[0] == 0 and values[-1] == float("inf")
+
+
+def linear_krull_dK(params, K):
+    """krull_dK as it was before the bisection: walk d up from -1."""
+    d = -1
+    while krull_C(params, d + 1) <= K:
+        d += 1
+    return d
+
+
+def test_krull_dK_bisection_matches_linear_walk():
+    for m in range(3, 41):
+        params = GrassParams(2, m)
+        for K in range(params.k + 1):
+            assert krull_dK(params, K) == linear_krull_dK(params, K), (m, K)
+
+
 def test_krull_dK_exhaustive():
-    for m in range(3, 9):
+    for m in range(3, 13):
         params = GrassParams(2, m)
         best = {}
-        for u in enumerate_ideals(params):
+        for u in enumerate_ideals(params, guard=params.k):
             K = u.span()
             best[K] = max(best.get(K, -1), u.krull())
         running = -1
