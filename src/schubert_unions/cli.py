@@ -39,14 +39,14 @@ def _emit_table(headers, rows, fmt, stream):
         w.writerow(headers)
         w.writerows(rows)
     else:
-        widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows
-                  else len(str(h)) for i, h in enumerate(headers)]
-        def line(cells):
-            return "| " + " | ".join(str(c).ljust(w) for c, w in zip(cells, widths)) + " |"
-        stream.write(line(headers) + "\n")
+        # every cell stringified once, for the widths and the lines alike
+        cells = [list(map(str, r)) for r in (headers, *rows)]
+        widths = [max(map(len, col)) for col in zip(*cells)]
+        def line(texts):
+            return "| " + " | ".join(t.ljust(w) for t, w in zip(texts, widths)) + " |\n"
+        stream.write(line(cells[0]))
         stream.write("|" + "|".join("-" * (w + 2) for w in widths) + "|\n")
-        for r in rows:
-            stream.write(line(r) + "\n")
+        stream.writelines(map(line, cells[1:]))
 
 
 def _parse_union(params, text) -> SchubertUnion:

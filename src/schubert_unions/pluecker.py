@@ -16,7 +16,8 @@ free column c the vector T_c of its cofactors.  As the entry of column c
 runs through the field, each point's vector is its parent's, copied, with
 v * T_c added to the minors on column c only.  `cell_matrices` and
 `pluecker_vector` are the single-matrix reference the tests hold this walk
-to.
+to.  The walk computes the minors on given rows only: a union's generator
+matrix walks G_U, never the whole grid.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
 from operator import itemgetter
 
 from . import gf
@@ -75,34 +74,30 @@ def pluecker_vector(field, params, matrix):
     return gf.maximal_minors(field, matrix)
 
 
-@lru_cache(maxsize=16)
-def _last_row_terms(l, m):
-    """Per column c, the terms (grid index of S, index of S minus c, negative)
-    of the minors' expansion along the last row that involve c.
-
-    The top level of `gf._laplace_plan` read by column; for l = 1 the only
-    (l-1)-minor is the empty one, at index 0.
+def _last_row_terms(params, rows):
+    """Per column c, the terms (index of S in rows, index of S minus c among
+    the (l-1)-subsets in lex order, negative) of the minors' expansion along
+    the last row that involve c, for each S in rows.
     """
-    if l == 1:
-        return tuple(((c, 0, False),) for c in range(m))
+    l, m = params.l, params.m
+    upper = {s: j for j, s in enumerate(itertools.combinations(range(1, m + 1), l - 1))}
     by_column = [[] for _ in range(m)]
-    for s, terms in enumerate(gf._laplace_plan(l, m)[-1]):
-        for c, j, negative in terms:
-            by_column[c].append((s, j, negative))
-    return tuple(map(tuple, by_column))
+    for i, cols in enumerate(rows):
+        for t, c in enumerate(cols):
+            by_column[c - 1].append((i, upper[cols[:t] + cols[t + 1:]], (l - 1 + t) % 2 == 1))
+    return by_column
 
 
-def _cell_vectors(field, params, alpha):
-    """Pluecker vectors of the cell's points, in `cell_matrices` order.
+def _cell_vectors(field, params, alpha, terms, size):
+    """Minors on the `size` rows of `terms` of the cell's points, in `cell_matrices` order.
 
     Rows 1..l-1 run through `cell_matrices` of G(l-1, m).  For each setting
     the last row's pivot gives the base vector, each free column c of the
-    last row the nonzero cofactors (grid index, value) of T_c, and
+    last row the nonzero cofactors (row index, value) of T_c, and
     `_odometer` runs the free entries.
     """
     l, m = params.l, params.m
     neg, mul = field._neg, field._mul
-    terms = _last_row_terms(l, m)
     pivot = alpha[-1] - 1
     free = [c for c in range(pivot) if c + 1 not in alpha]
     if l == 1:
@@ -113,11 +108,11 @@ def _cell_vectors(field, params, alpha):
         prev = (1,) if upper is None else gf.maximal_minors(field, upper)
 
         def cofactors(c):
-            """The nonzero entries (grid index, value) of T_c."""
+            """The nonzero entries (row index, value) of T_c."""
             return [(s, neg[prev[j]] if negative else prev[j])
                     for s, j, negative in terms[c] if prev[j]]
 
-        base = [0] * comb(m, l)
+        base = [0] * size
         for s, y in cofactors(pivot):
             base[s] = y
         steps = [[[(s, row[y]) for s, y in cof] for row in mul[1:]]
@@ -159,12 +154,19 @@ def _check_point_guard(field, params, union, guard):
         raise TooLarge(f"enumeration of {count_text(expected)} points exceeds guard {guard}")
 
 
+def _walk(field, params, cells, rows):
+    """Yield (cell label, minors on rows) for each point of the cells, in order."""
+    terms = _last_row_terms(params, rows)
+    for alpha in cells:
+        for vec in _cell_vectors(field, params, alpha, terms, len(rows)):
+            yield alpha, vec
+
+
 def enumerate_points(field, params, union=None, guard=DEFAULT_POINT_GUARD):
     """Yield (cell label, Pluecker vector) for each point, cells in lex order."""
     _check_point_guard(field, params, union, guard)
-    for alpha in full_grid(params) if union is None else sorted(union.ideal()):
-        for vec in _cell_vectors(field, params, alpha):
-            yield alpha, vec
+    grid = full_grid(params)
+    yield from _walk(field, params, grid if union is None else sorted(union.ideal()), grid)
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ class GeneratorMatrix:
     params: object
     union: SchubertUnion | None
     rows: tuple          # grid points labelling the rows
-    columns: tuple       # one Pluecker vector (restricted to rows) per point
+    columns: tuple       # per point, its Pluecker coordinates on the rows
 
     @property
     def n(self) -> int:
@@ -195,30 +197,23 @@ class GeneratorMatrix:
 def generator_matrix(field, params, union=None, guard=DEFAULT_POINT_GUARD):
     """Generator matrix: one column per point, rows indexed by the grid.
 
-    For a union the rows are restricted to G_U; the dropped coordinates are
-    identically zero on the union's points.
+    For a union the rows are G_U alone.  A point of cell alpha has nonzero
+    minors only at S <= alpha and G_U is down-closed, so the coordinates off
+    G_U are zero on every point of the union and are never computed.
     """
     _check_point_guard(field, params, union, guard)
-    grid = full_grid(params)
-    vecs = (vec for _alpha, vec in enumerate_points(field, params, union, guard))
-    if union is None:
-        return GeneratorMatrix(field, params, union, tuple(grid), tuple(vecs))
-    rows = tuple(sorted(union.ideal()))
-    pos = {t: i for i, t in enumerate(grid)}
-    idx = [pos[t] for t in rows]
-    # one C-level gather; itemgetter returns a bare entry for one index, fails for none
-    if len(idx) >= 2:
-        restrict = itemgetter(*idx)
-    else:
-        def restrict(vec):
-            return tuple(vec[i] for i in idx)
-    return GeneratorMatrix(field, params, union, rows, tuple(map(restrict, vecs)))
+    rows = tuple(full_grid(params) if union is None else sorted(union.ideal()))
+    columns = tuple(vec for _alpha, vec in _walk(field, params, rows, rows))
+    return GeneratorMatrix(field, params, union, rows, columns)
 
 
 def write_text(genmat, stream):
     """One column per line, entries as integers separated by spaces."""
-    for col in genmat.columns:
-        stream.write(" ".join(map(str, col)) + "\n")
+    # one write per block of columns, each entry's text looked up by value
+    name = [str(v) for v in range(genmat.field.q)].__getitem__
+    cols = genmat.columns
+    for i in range(0, len(cols), 4096):
+        stream.write("".join([" ".join(map(name, col)) + "\n" for col in cols[i:i + 4096]]))
 
 
 def write_binary(genmat, stream):

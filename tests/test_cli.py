@@ -176,6 +176,12 @@ GENMATRIX_GOLDEN = [
      "b12ad4ff0121ee96c6e5f59b60082cd9d5240ed8603f0ca249e03158bebb252f"),
     ("--l 3 --m 5 --q 9 --union [[1,4,5],[2,3,5]] --binary",
      "57d370127e3060f4b3bd50565898ae345749f7b0736bece743f05078547ff04d"),
+    # recorded while a union's rows were cut out of full-width vectors: a
+    # union far smaller than its grid, and one with two maxima at l = 3
+    ("--l 2 --m 1000 --q 2 --union [[1,5]]",
+     "045701bc053a2026fd6778bf71f9e29a33119564c894589b71b55289d3681652"),
+    ("--l 3 --m 60 --q 3 --union [[1,2,9],[2,4,6]]",
+     "d2afa9bbdff69802e83ab3c0fb5eb2bb7a93e3e3d7a99ac7792140bb4f71bf2c"),
 ]
 
 

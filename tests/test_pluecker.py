@@ -235,17 +235,42 @@ def test_point_guard():
     assert grand_total(GrassParams(2, 5))(2) == 155
 
 
+def assert_union_rows_restrict(field, params, u):
+    """The union's matrix is the full-width reference stream cut to G_U."""
+    gm = generator_matrix(field, params, u)
+    grid = full_grid(params)
+    idx = [grid.index(t) for t in gm.rows]
+    assert gm.columns == tuple(tuple(vec[i] for i in idx)
+                               for _alpha, vec in enumerate_points(field, params, u)), \
+        (params, field.q, u)
+    assert gm.entries() == [[col[i] for col in gm.columns] for i in range(gm.k)]
+
+
 @pytest.mark.parametrize("maxima", [[], [(1, 2)], [(1, 4)], [(2, 3)], [(1, 5), (2, 3)]])
 def test_union_rows_restrict_the_full_vectors(maxima):
-    # k = 0 and k = 1 are the shapes a single itemgetter cannot gather
-    f3 = Field(3)
+    # k = 0 and k = 1 included
     params = GrassParams(2, 5)
-    u = SchubertUnion(params, maxima)
-    gm = generator_matrix(f3, params, u)
-    idx = [full_grid(params).index(t) for t in gm.rows]
-    assert gm.columns == tuple(tuple(vec[i] for i in idx)
-                               for _alpha, vec in enumerate_points(f3, params, u))
-    assert gm.entries() == [[col[i] for col in gm.columns] for i in range(gm.k)]
+    assert_union_rows_restrict(Field(3), params, SchubertUnion(params, maxima))
+
+
+@pytest.mark.parametrize("l,m,q", [(2, 5, 2), (2, 5, 3), (3, 6, 2), (2, 6, 4), (3, 5, 3)])
+def test_union_rows_restrict_the_full_vectors_every_union(l, m, q):
+    field, params = Field(q), GrassParams(l, m)
+    for u in enumerate_ideals(params):
+        assert_union_rows_restrict(field, params, u)
+
+
+def test_union_matrix_builds_no_grid(monkeypatch):
+    from schubert_unions import pluecker
+
+    def refuse(params):
+        raise AssertionError("full_grid called")
+
+    monkeypatch.setattr(pluecker, "full_grid", refuse)
+    params = GrassParams(2, 1000)
+    gm = generator_matrix(Field(2), params, SchubertUnion(params, [(1, 5)]))
+    assert gm.rows == ((1, 2), (1, 3), (1, 4), (1, 5)) and gm.n == 15
+    assert gm.rank() == 4
 
 
 def test_exports():
