@@ -161,6 +161,8 @@ def cmd_krull(args, out):
 
 def cmd_genmatrix(args, out):
     params = GrassParams(args.l, args.m)
+    if args.q is None:
+        raise ValueError("genmatrix needs --q")
     field = gf.Field(args.q)
     union = _parse_union(params, args.union) if args.union else None
     genmat = pluecker.generator_matrix(field, params, union, args.point_guard)

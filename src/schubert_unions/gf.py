@@ -199,6 +199,8 @@ def maximal_minors(field, matrix) -> tuple:
     One Laplace expansion shared by every minor: the minors of the first i
     rows on each i-subset of columns are built from the (i-1)-minors of the
     first i-1 rows, so no minor is recomputed and nothing is eliminated.
+    This is the single-matrix reference behind `pluecker.pluecker_vector`;
+    the cell walk of `pluecker` runs the same expansion over whole cells.
     """
     add, mul, neg = field._add, field._mul, field._neg
     prev = matrix[0]

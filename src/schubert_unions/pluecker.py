@@ -8,16 +8,14 @@ positions; sweeping them over the field enumerates the cell exactly once.
 Pluecker coordinates are the maximal minors taken in increasing column
 order, so the cell's own coordinate is 1 and the output is deterministic.
 
-The minors are linear in the last row, whose free entries are the fastest
-digits of the odometer.  So a cell is enumerated one setting of its upper
-rows at a time: their (l-1)-minors come from one shared Laplace expansion
-(`gf.maximal_minors`), the last row's trailing 1 gives a base vector and each
-free column c the vector T_c of its cofactors.  As the entry of column c
-runs through the field, each point's vector is its parent's, copied, with
-v * T_c added to the minors on column c only.  `cell_matrices` and
-`pluecker_vector` are the single-matrix reference the tests hold this walk
-to.  The walk computes the minors on given rows only: a union's generator
-matrix walks G_U, never the whole grid.
+The minors of rows 1..i are linear in row i, so a cell is walked row by
+row from the empty minor 1: each vector of rows 1..i-1 gives row i's base
+vector from the cofactors on its trailing 1, and each free column c of row
+i splits every vector into q, digit v adding v times the cofactors T_c on
+the minors that hold c.  Only the minors a later row reads are kept, from
+the matrix's own rows down, so a union's generator matrix walks G_U and
+never the whole grid.  `cell_matrices` and `pluecker_vector` are the
+single-matrix reference the tests hold this walk to.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from operator import itemgetter
 
 from . import gf
 from .grassgrid import (
-    GrassParams,
     SchubertUnion,
     TooLarge,
     count_text,
@@ -74,78 +71,75 @@ def pluecker_vector(field, params, matrix):
     return gf.maximal_minors(field, matrix)
 
 
-def _last_row_terms(params, rows):
-    """Per column c, the terms (index of S in rows, index of S minus c among
-    the (l-1)-subsets in lex order, negative) of the minors' expansion along
-    the last row that involve c, for each S in rows.
+def _levels(params, rows):
+    """Per row i = 1..l, the size of level i and, per column c, its expansion terms.
+
+    Level l is `rows`; level i-1 holds every S minus c for S at level i, in
+    lex order.  The terms on column c are (index of S at level i, index of
+    S minus c at level i-1, negative) for every S at level i that holds c.
     """
-    l, m = params.l, params.m
-    upper = {s: j for j, s in enumerate(itertools.combinations(range(1, m + 1), l - 1))}
-    by_column = [[] for _ in range(m)]
-    for i, cols in enumerate(rows):
-        for t, c in enumerate(cols):
-            by_column[c - 1].append((i, upper[cols[:t] + cols[t + 1:]], (l - 1 + t) % 2 == 1))
-    return by_column
+    levels = []
+    sets = list(rows)
+    for i in range(params.l, 0, -1):
+        lower = sorted({s[:t] + s[t + 1:] for s in sets for t in range(i)})
+        index = {s: j for j, s in enumerate(lower)}
+        by_column = [[] for _ in range(params.m)]
+        for k, s in enumerate(sets):
+            for t, c in enumerate(s):
+                by_column[c - 1].append((k, index[s[:t] + s[t + 1:]], (i - 1 + t) % 2 == 1))
+        levels.append((len(sets), by_column))
+        sets = lower
+    return levels[::-1]
 
 
-def _cell_vectors(field, params, alpha, terms, size):
-    """Minors on the `size` rows of `terms` of the cell's points, in `cell_matrices` order.
+def _cell_vectors(field, alpha, levels):
+    """Yield the minors on level l of the cell's points in `cell_matrices` order,
+    one list of last-row children per vector of rows 1..l-1.
 
-    Rows 1..l-1 run through `cell_matrices` of G(l-1, m).  For each setting
-    the last row's pivot gives the base vector, each free column c of the
-    last row the nonzero cofactors (row index, value) of T_c, and
-    `_odometer` runs the free entries.
+    Row i's base vector holds the cofactors on a_i; free column c's digit v
+    adds v * T_c, its cofactors, at the sets that hold c.
     """
-    l, m = params.l, params.m
-    neg, mul = field._neg, field._mul
-    pivot = alpha[-1] - 1
-    free = [c for c in range(pivot) if c + 1 not in alpha]
-    if l == 1:
-        uppers = [None]
-    else:
-        uppers = cell_matrices(field, GrassParams(l - 1, m), alpha[:-1])
-    for upper in uppers:
-        prev = (1,) if upper is None else gf.maximal_minors(field, upper)
-
-        def cofactors(c):
-            """The nonzero entries (row index, value) of T_c."""
-            return [(s, neg[prev[j]] if negative else prev[j])
-                    for s, j, negative in terms[c] if prev[j]]
-
-        base = [0] * size
-        for s, y in cofactors(pivot):
-            base[s] = y
-        steps = [[[(s, row[y]) for s, y in cof] for row in mul[1:]]
-                 for cof in map(cofactors, free)]
-        yield from _odometer(tuple(base), steps, field._add)
-
-
-def _odometer(vec, steps, add):
-    """vec plus v_d * T_d summed over d, for every digit tuple, last digit fastest.
-
-    steps[d] lists v * T_d for v = 1..q-1 as (index, value) pairs; a digit 0
-    adds nothing, so each prefix's vector is yielded as is, then copied and
-    updated where T_d is nonzero for every other value of the last digit.
-    """
-    if not steps:
-        yield vec
-        return
-    last = steps[-1]
-    for pre in _odometer(vec, steps[:-1], add):
-        yield pre
-        for scaled in last:
-            child = list(pre)
-            for s, y in scaled:
-                child[s] = add[child[s]][y]
-            yield tuple(child)
+    add, neg, scale = field._add, field._neg, field._mul[1:]
+    last = len(alpha) - 1
+    vecs = [(1,)]
+    for i, (a, (size, terms)) in enumerate(zip(alpha, levels)):
+        free = [c for c in range(a - 1) if c + 1 not in alpha]
+        out = []
+        for prev in vecs:
+            cof = [[(k, neg[prev[j]] if negative else prev[j])
+                    for k, j, negative in terms[c] if prev[j]] for c in (a - 1, *free)]
+            base = [0] * size
+            for k, y in cof[0]:
+                base[k] = y
+            kids = [tuple(base)]
+            for t in cof[1:]:
+                steps = [[(k, row[y]) for k, y in t] for row in scale]
+                split = []
+                for vec in kids:
+                    split.append(vec)
+                    for step in steps:
+                        child = list(vec)
+                        for k, y in step:
+                            child[k] = add[child[k]][y]
+                        split.append(tuple(child))
+                kids = split
+            if i == last:
+                yield kids
+            else:
+                out += kids
+        vecs = out
 
 
 def _check_point_guard(field, params, union, guard):
-    """TooLarge when the points to enumerate exceed the guard.
+    """ValueError for a union of another Grassmannian; TooLarge when the
+    points to enumerate exceed the guard.
 
     The count is the Gaussian binomial for all of G(l,m) (union None) and
     g_U(q) for a union, so the full grid is not built first.
     """
+    if union is not None and union.params != params:
+        raise ValueError(f"union of G({union.params.l},{union.params.m})"
+                         f" given for G({params.l},{params.m})")
     if union is None:
         expected = gaussian_binomial(params.m, params.l, field.q)
     else:
@@ -156,10 +150,11 @@ def _check_point_guard(field, params, union, guard):
 
 def _walk(field, params, cells, rows):
     """Yield (cell label, minors on rows) for each point of the cells, in order."""
-    terms = _last_row_terms(params, rows)
+    levels = _levels(params, rows)
     for alpha in cells:
-        for vec in _cell_vectors(field, params, alpha, terms, len(rows)):
-            yield alpha, vec
+        for kids in _cell_vectors(field, alpha, levels):
+            for vec in kids:
+                yield alpha, vec
 
 
 def enumerate_points(field, params, union=None, guard=DEFAULT_POINT_GUARD):
@@ -203,7 +198,9 @@ def generator_matrix(field, params, union=None, guard=DEFAULT_POINT_GUARD):
     """
     _check_point_guard(field, params, union, guard)
     rows = tuple(full_grid(params) if union is None else sorted(union.ideal()))
-    columns = tuple(vec for _alpha, vec in _walk(field, params, rows, rows))
+    # built as a list: tuple() of a generator resizes its tuple as it grows,
+    # and each resize puts it back in the youngest GC generation
+    columns = tuple([vec for _alpha, vec in _walk(field, params, rows, rows)])
     return GeneratorMatrix(field, params, union, rows, columns)
 
 

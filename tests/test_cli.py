@@ -182,6 +182,12 @@ GENMATRIX_GOLDEN = [
      "045701bc053a2026fd6778bf71f9e29a33119564c894589b71b55289d3681652"),
     ("--l 3 --m 60 --q 3 --union [[1,2,9],[2,4,6]]",
      "d2afa9bbdff69802e83ab3c0fb5eb2bb7a93e3e3d7a99ac7792140bb4f71bf2c"),
+    # recorded while rows 1..l-1 were expanded in full per setting: four
+    # levels of minors, on a union far below C(m, l-1) and on one over F_3
+    ("--l 4 --m 40 --q 2 --union [[1,2,3,9],[2,3,5,7]]",
+     "419ad78ce1aeeef23619d04c7f86bb4b1e2583d90572ba36df1157b0375abd01"),
+    ("--l 4 --m 7 --q 3 --union [[1,2,6,7],[2,3,4,7]] --binary",
+     "acd30673ddc591058e978ada1172ee0697322b64fbc8d5077a831f7f024ec22f"),
 ]
 
 
@@ -719,6 +725,7 @@ REFUSALS = [
     (["weights", "--l", "2", "--m", "5", "--union", "[[1,5],[2,3]]"], 2,
      "error: --union needs --q\n"),
     (["experiment", "Q4", "--l", "2", "--m", "4"], 2, "error: Q4 needs --q\n"),
+    (["genmatrix", "--l", "2", "--m", "4"], 2, "error: genmatrix needs --q\n"),
     # the guard reads binomial(m, l) before any grid point is built
     (["enumerate", "--l", "2", "--m", "100000"], 3,
      "error: grid has 4999950000 points, guard is 28\n"),

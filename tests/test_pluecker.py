@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 
 import pytest
 
@@ -107,6 +108,8 @@ EVERY_POINT = [(l, m, q) for l, m in ((1, 4), (2, 4), (2, 5), (3, 5))
                for q in (2, 3, 4, 5)]
 EVERY_POINT += [(l, m, q) for l, m in ((1, 4), (2, 4)) for q in (8, 9)]
 EVERY_POINT += [(3, 6, 2)]
+# four rows, so the walk builds minors on three levels before the last row
+EVERY_POINT += [(4, 6, 3), (4, 7, 2)]
 
 
 @pytest.mark.parametrize("l,m,q", EVERY_POINT)
@@ -271,6 +274,39 @@ def test_union_matrix_builds_no_grid(monkeypatch):
     gm = generator_matrix(Field(2), params, SchubertUnion(params, [(1, 5)]))
     assert gm.rows == ((1, 2), (1, 3), (1, 4), (1, 5)) and gm.n == 15
     assert gm.rank() == 4
+
+
+def test_matrices_need_no_laplace_expansion(monkeypatch):
+    from schubert_unions import gf, pluecker
+
+    def refuse(*args):
+        raise AssertionError("reference path called")
+
+    monkeypatch.setattr(gf, "maximal_minors", refuse)
+    monkeypatch.setattr(pluecker, "cell_matrices", refuse)
+    gm = generator_matrix(Field(3), GrassParams(3, 6))
+    assert (gm.k, gm.n) == (20, gaussian_binomial(6, 3, 3))
+    assert gm.rank() == 20
+    params = GrassParams(3, 60)
+    u = SchubertUnion(params, [(1, 2, 9), (2, 4, 6)])
+    gm = generator_matrix(Field(3), params, u)
+    assert (gm.k, gm.n) == (len(u.ideal()), u.point_count()(3))
+    assert gm.rank() == u.span()
+
+
+@pytest.mark.parametrize("union_params,params", [
+    (GrassParams(3, 6), GrassParams(2, 6)),
+    (GrassParams(2, 6), GrassParams(2, 5)),
+    (GrassParams(2, 5), GrassParams(2, 6)),
+])
+def test_union_of_another_grassmannian_refused(union_params, params):
+    u = SchubertUnion.full(union_params)
+    want = (f"union of G({union_params.l},{union_params.m})"
+            f" given for G({params.l},{params.m})")
+    with pytest.raises(ValueError, match=re.escape(want)):
+        generator_matrix(Field(2), params, u)
+    with pytest.raises(ValueError, match=re.escape(want)):
+        next(enumerate_points(Field(2), params, u))
 
 
 def test_exports():
