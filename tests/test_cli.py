@@ -725,7 +725,6 @@ REFUSALS = [
     (["weights", "--l", "2", "--m", "5", "--union", "[[1,5],[2,3]]"], 2,
      "error: --union needs --q\n"),
     (["experiment", "Q4", "--l", "2", "--m", "4"], 2, "error: Q4 needs --q\n"),
-    (["genmatrix", "--l", "2", "--m", "4"], 2, "error: genmatrix needs --q\n"),
     # the guard reads binomial(m, l) before any grid point is built
     (["enumerate", "--l", "2", "--m", "100000"], 3,
      "error: grid has 4999950000 points, guard is 28\n"),
@@ -736,6 +735,7 @@ REFUSALS = [
      "error: r=1 sweep needs at least 2^19899 subspaces, budget is 20000000\n"),
     (["genmatrix", "--l", "2", "--m", "1000", "--q", "256"], 3,
      "error: enumeration of at least 2^15968 points exceeds guard 10000000\n"),
+    (["genmatrix", "--l", "2", "--m", "4"], 2, "error: genmatrix needs --q\n"),
 ]
 
 
