@@ -6,10 +6,14 @@ plus the one remaining value for C(2,5).  Between those ranges the module
 reports the interval [Griesmer lower bound, D_r], with D_r = n - J_r the
 Schubert-union bound.  A brute-force oracle sweeps all codimension-r
 subspaces in reduced echelon form and is exact wherever it is affordable.
-A functional's zero set comes from value masks of the two halves of the
-message coordinates, the same path for every q: q ANDs of column bitmasks
-instead of one dot product per column.  The sweep ends at the first leaf
-that reaches a proven ceiling, the smaller of a projective cap (the killed
+A row of the sweep is an integer, the functional's base-q code
+sum_j h_j q^j.  Its zero set comes from value masks of the two halves of
+the message coordinates (code % q^s and code // q^s, s = k // 2), the same
+path for every q: q ANDs of column bitmasks instead of one dot product per
+column.  An echelon level is the product of its lo and hi codes; level 0
+is streamed, and each deeper level is built on the first descent into it
+and kept for its pivot set only.  The sweep ends at the first leaf that
+reaches a proven ceiling, the smaller of a projective cap (the killed
 columns lie in a (k-r)-dimensional annihilator) and a generalized Griesmer
 cap (d_r >= sum of ceil(d_1/q^i), i < r), so its best count and witness are
 those of the full sweep.  One _MaskCache per matrix holds the masks, the
@@ -21,6 +25,7 @@ from __future__ import annotations
 import collections
 import itertools
 from dataclasses import dataclass
+from operator import and_, itemgetter
 
 from .grassgrid import (
     DEFAULT_IDEAL_GUARD,
@@ -169,18 +174,21 @@ def weight_table(params, q=None, guard=DEFAULT_IDEAL_GUARD):
 # brute-force oracle: sweep codimension-r subspaces in reduced echelon form
 
 
-def _value_tables(field, columns, coords):
-    """Entry [h][v]: bitmask of the columns c with sum_j h_j c[coords[j]] = v.
+def _value_tables(field, rows, n):
+    """Entry [h][v]: bitmask of the n columns c with sum_j h_j c_j = v.
 
-    h is read as base-q digits, lowest first.  Extending every h by a * e_j
-    splits its value masks by the columns' j-th entry: q^2 ANDs per entry.
+    rows[j] holds the j-th entries of the columns as bytes, last column
+    first, so that column i is bit i of a binary numeral; h is read as
+    base-q digits, lowest first.  Extending every h by a * e_j splits its
+    value masks by the columns' j-th entry: q^2 ANDs per entry.
     """
     q, add, mul = field.q, field._add, field._mul
-    table = [[(1 << len(columns)) - 1] + [0] * (q - 1)]
-    for j in coords:
-        parts = [0] * q
-        for ci, col in enumerate(columns):
-            parts[col[j]] |= 1 << ci
+    # byte v -> "1", every other byte -> "0"
+    indicators = [b"0" * v + b"1" + b"0" * (255 - v) for v in range(q)]
+    table = [[(1 << n) - 1] + [0] * (q - 1)]
+    for row in rows:
+        parts = [(b, part) for b, ind in enumerate(indicators)
+                 if (part := int(row.translate(ind) or b"0", 2))]
         size = len(table)
         for a in range(1, q):
             times_a = mul[a]
@@ -189,7 +197,7 @@ def _value_tables(field, columns, coords):
                 for u, mask in enumerate(table[h]):
                     if mask:
                         plus_u = add[u]
-                        for b, part in enumerate(parts):
+                        for b, part in parts:
                             new[plus_u[times_a[b]]] |= mask & part
                 table.append(new)
     return table
@@ -198,37 +206,46 @@ def _value_tables(field, columns, coords):
 class _MaskCache:
     """The oracle's state for one matrix: zero-set masks, caps and d_1.
 
-    With the k coordinates split at k // 2, h_lo + h_hi kills column c
-    exactly when h_lo . c = -(h_hi . c): a new row costs q ANDs of two
-    value-table entries (hi stored at -v; the q masks of lo[h] are
-    disjoint, so their sum is their OR).  Echelon rows recur across pivot
-    sets, so each row's mask is memoized.
+    A functional h is coded as the integer sum_j h_j q^j.  With the k
+    coordinates split at s = k // 2, code % q^s and code // q^s index the
+    value tables of the two halves, and h_lo + h_hi kills column c exactly
+    when h_lo . c = -(h_hi . c): a row costs q ANDs of two value-table
+    entries (hi stored at -v; the q masks of lo[h] are disjoint, so their
+    sum is their OR).
     """
 
     def __init__(self, field, columns, k):
         s = self.split = k // 2
         self.field, self.columns, self.k, self.n = field, columns, k, len(columns)
-        self.lo = _value_tables(field, columns, range(s))
+        q, mul, inv = field.q, field._mul, field._inv
+        # the matrix rows as bytes, last column first; k empty rows if no columns
+        rows = list(map(bytes, zip(*columns[::-1]))) or [b""] * k
+        self.lo = _value_tables(field, rows[:s], self.n)
         self.hi = [[masks[u] for u in field._neg]
-                   for masks in _value_tables(field, columns, range(s, k))]
-        self.place = [field.q ** j for j in range(k - s)]
+                   for masks in _value_tables(field, rows[s:], self.n)]
+        self.place = [q ** j for j in range(k - s)]
         self.cache = {}
-        # columns by projective point: scaled to lead with 1, zeros kept apart
-        points = collections.Counter()
-        for col in columns:
-            scale = field._mul[field._inv[next((x for x in col if x), 0)]]
-            points[tuple(scale[x] for x in col)] += 1
-        self.zeros = points.pop((0,) * k, 0)
+        # columns by projective point: each nonzero column from its lead on,
+        # scaled to lead with 1 by one translate; zero columns kept apart
+        pad = bytes(256 - q)
+        scale = [b""] + [bytes(mul[inv[a]]) + pad for a in range(1, q)]
+        tails = list(filter(None, map(bytes.lstrip, map(bytes, columns),
+                                      itertools.repeat(b"\0"))))
+        self.zeros = self.n - len(tails)
+        points = collections.Counter(map(bytes.translate, tails,
+                                         map(scale.__getitem__, map(itemgetter(0), tails))))
         self.classes = sorted(points.values(), reverse=True)
         self.d1 = None
 
     def mask(self, row):
+        """Zero-set mask of a row given as a tuple, memoized; the sweep
+        reads the tables through codes instead (_level)."""
         got = self.cache.get(row)
         if got is None:
             s, place = self.split, self.place
             a = self.lo[sum(x * p for x, p in zip(row[:s], place))]
             b = self.hi[sum(x * p for x, p in zip(row[s:], place))]
-            got = self.cache[row] = sum(x & y for x, y in zip(a, b))
+            got = self.cache[row] = sum(map(and_, a, b))
         return got
 
     def ceiling(self, r, first):
@@ -266,52 +283,76 @@ class _MaskCache:
         return dual.bit_count()
 
 
-def _echelon_rows(field, k, pivots, i):
-    """Rows of level i of a reduced echelon basis, in itertools.product order."""
-    pivot = pivots[i]
-    free = [j for j in range(pivot + 1, k) if j not in pivots]
-    rows = []
-    for values in itertools.product(field.elements(), repeat=len(free)):
-        row = [0] * k
-        row[pivot] = 1
-        for j, v in zip(free, values):
-            row[j] = v
-        rows.append(tuple(row))
-    return rows
+def _codes(q, start, steps):
+    """start + sum_j v_j steps[j] over every digit tuple v, in
+    itertools.product order (the last step varies fastest)."""
+    codes = [start]
+    for step in steps:
+        codes = [c + d for c in codes for d in range(0, q * step, step)]
+    return codes
+
+
+def _level(cache, pivots, i):
+    """(code, zero-set mask) of each row of level i of a reduced echelon
+    basis, in itertools.product order over the row's free coordinates.
+
+    The row is 1 at pivots[i] and free after it, except at the later
+    pivots.  Its lo and hi parts vary independently and the hi coordinates
+    come last, so the level is the lo codes times the hi codes, hi fastest.
+    """
+    q, k = cache.field.q, cache.k
+    top, lead = q ** cache.split, q ** pivots[i]
+    free = [q ** j for j in range(pivots[i] + 1, k) if j not in pivots]
+    lo_codes = _codes(q, lead if lead < top else 0, [p for p in free if p < top])
+    hi_codes = _codes(q, lead if lead >= top else 0, [p for p in free if p >= top])
+    lo, hi = cache.lo, cache.hi
+    his = [(b, hi[b // top]) for b in hi_codes]
+    for a in lo_codes:
+        masks = lo[a]
+        for b, other in his:
+            yield a + b, sum(map(and_, masks, other))
 
 
 def _sweep(cache, r):
     """(best, witness) of the r-sweep; stops at the first leaf whose count
-    reaches cache.ceiling(r, its count), a proven bound on every count."""
-    field, k = cache.field, cache.k
+    reaches cache.ceiling(r, its count), a proven bound on every count.
+
+    Level 0 is read once per pivot set, so it is streamed; a deeper level
+    is built on the first descent into it and kept for its pivot set only.
+    """
+    q = cache.field.q
     full = (1 << cache.n) - 1
+    places = [q ** j for j in range(cache.k)]
     best, witness, cap = -1, None, None
-    path = [None] * r
-    for pivots in itertools.combinations(range(k), r):
-        levels = [[(row, cache.mask(row)) for row in _echelon_rows(field, k, pivots, i)]
-                  for i in range(r)]
+    path = [0] * r
 
-        def rec(i, acc):
-            """True once best reaches the cap."""
-            nonlocal best, witness, cap
-            last = i == r - 1
-            for row, mask in levels[i]:
-                sub = acc & mask
-                count = sub.bit_count()
-                if count <= best:
-                    continue
-                path[i] = row
-                if last:
-                    best, witness = count, list(path)
-                    if cap is None:
-                        cap = cache.ceiling(r, best)
-                    assert best <= cap, f"r={r}: {best} columns killed, cap {cap}"
-                    if best == cap:
-                        return True
-                elif rec(i + 1, sub):
+    def rec(i, acc):
+        """True once best reaches the cap."""
+        nonlocal best, witness, cap
+        rows = levels[i]
+        if rows is None:
+            rows = levels[i] = list(_level(cache, pivots, i))
+        last = i == r - 1
+        for code, mask in rows:
+            sub = acc & mask
+            count = sub.bit_count()
+            if count <= best:
+                continue
+            path[i] = code
+            if last:
+                best = count
+                witness = [tuple(c // p % q for p in places) for c in path]
+                if cap is None:
+                    cap = cache.ceiling(r, best)
+                assert best <= cap, f"r={r}: {best} columns killed, cap {cap}"
+                if best == cap:
                     return True
-            return False
+            elif rec(i + 1, sub):
+                return True
+        return False
 
+    for pivots in itertools.combinations(range(cache.k), r):
+        levels = [_level(cache, pivots, 0)] + [None] * (r - 1)
         if rec(0, full):
             break
     return best, witness

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -30,7 +31,6 @@ from schubert_unions.weights import (
     union_code_params,
     weight_table,
     _MaskCache,
-    _echelon_rows,
 )
 
 from table_fixtures import DELTA_TABLES
@@ -185,17 +185,115 @@ def test_oracle_stops_at_first_maximiser(monkeypatch):
     # C(2,5) over F_2 at r=7: the first leaf kills |P^2| = 7 columns, the
     # projective cap, so only the first pivot set's 7 levels are built
     calls = []
-    echelon_rows = weights._echelon_rows
+    level = weights._level
 
-    def counted(*args):
-        calls.append(args[2])
-        return echelon_rows(*args)
+    def counted(cache, pivots, i):
+        calls.append(pivots)
+        return level(cache, pivots, i)
 
-    monkeypatch.setattr(weights, "_echelon_rows", counted)
+    monkeypatch.setattr(weights, "_level", counted)
     f2 = Field(2)
     gm = generator_matrix(f2, GrassParams(2, 5))
     assert oracle_dr(f2, gm, 7) == gm.n - 7
     assert calls == [tuple(range(7))] * 7
+
+
+def _echelon_rows(field, k, pivots, i):
+    """Rows of level i of a reduced echelon basis, in itertools.product order."""
+    pivot = pivots[i]
+    free = [j for j in range(pivot + 1, k) if j not in pivots]
+    rows = []
+    for values in itertools.product(field.elements(), repeat=len(free)):
+        row = [0] * k
+        row[pivot] = 1
+        for j, v in zip(free, values):
+            row[j] = v
+        rows.append(tuple(row))
+    return rows
+
+
+@pytest.mark.parametrize("lm,q,r_max", [((2, 4), q, 3) for q in (2, 3, 4, 5)]
+                         + [((3, 5), 2, 2)])
+def test_levels_match_echelon_rows(lm, q, r_max):
+    # every level of every pivot set: the rows' codes and zero sets, in order
+    field = Field(q)
+    gm = generator_matrix(field, GrassParams(*lm))
+    cache = _MaskCache(field, gm.columns, gm.k)
+    places = [q ** j for j in range(gm.k)]
+    for r in range(1, r_max + 1):
+        for pivots in itertools.combinations(range(gm.k), r):
+            for i in range(r):
+                expected = [(sum(x * p for x, p in zip(row, places)), cache.mask(row))
+                            for row in _echelon_rows(field, gm.k, pivots, i)]
+                assert list(weights._level(cache, pivots, i)) == expected, (pivots, i)
+
+
+def _column_value_tables(field, columns, coords):
+    """_value_tables as it was before it read byte rows: one pass over the
+    columns per coordinate."""
+    q, add, mul = field.q, field._add, field._mul
+    table = [[(1 << len(columns)) - 1] + [0] * (q - 1)]
+    for j in coords:
+        parts = [0] * q
+        for ci, col in enumerate(columns):
+            parts[col[j]] |= 1 << ci
+        size = len(table)
+        for a in range(1, q):
+            times_a = mul[a]
+            for h in range(size):
+                new = [0] * q
+                for u, mask in enumerate(table[h]):
+                    if mask:
+                        plus_u = add[u]
+                        for b, part in enumerate(parts):
+                            new[plus_u[times_a[b]]] |= mask & part
+                table.append(new)
+    return table
+
+
+def _tuple_classes(field, columns, k):
+    """(zero columns, class sizes) as they were before the byte rows: each
+    column scaled to lead with 1 as a tuple."""
+    points = collections.Counter()
+    for col in columns:
+        scale = field._mul[field._inv[next((x for x in col if x), 0)]]
+        points[tuple(scale[x] for x in col)] += 1
+    return points.pop((0,) * k, 0), sorted(points.values(), reverse=True)
+
+
+def _mixed_columns(field, k, n, rng):
+    """n columns of length k mixing zero, repeated, proportional and random
+    ones; the first is zero."""
+    q = field.q
+    columns = []
+    while len(columns) < n:
+        kind = rng.choice(["random", "zero", "repeat", "multiple"]) if columns else "zero"
+        if kind == "zero":
+            columns.append((0,) * k)
+        elif kind == "repeat":
+            columns.append(rng.choice(columns))
+        elif kind == "multiple":
+            scale = field._mul[rng.randrange(1, q)]
+            columns.append(tuple(scale[x] for x in rng.choice(columns)))
+        else:
+            columns.append(tuple(rng.randrange(q) for _ in range(k)))
+    return columns
+
+
+@pytest.mark.parametrize("q,k", [(2, 4), (3, 4), (4, 4), (5, 4), (8, 4), (9, 4), (256, 2)])
+def test_byte_rows_match_column_loops(q, k):
+    # value tables and projective classes from byte rows equal the old
+    # per-column loops; q = 256 fills the 256-byte translate tables unpadded
+    field = Field(q)
+    rng = random.Random(q)
+    s = k // 2
+    for n in (0, 1, 2, 7, 40):
+        columns = _mixed_columns(field, k, n, rng)
+        cache = _MaskCache(field, columns, k)
+        assert cache.lo == _column_value_tables(field, columns, range(s))
+        assert cache.hi == [[masks[u] for u in field._neg]
+                            for masks in _column_value_tables(field, columns, range(s, k))]
+        assert (cache.zeros, cache.classes) == _tuple_classes(field, columns, k)
 
 
 def _counted_sweeps(monkeypatch):

@@ -40,7 +40,7 @@ def column_multisets(draw):
     """(q, k, columns): a k x n matrix whose columns mix zero, repeated,
     proportional and random ones; with rank_deficient the last coordinate
     is zero throughout."""
-    q = draw(st.sampled_from([2, 3, 4]))
+    q = draw(st.sampled_from([2, 3, 4, 8, 9]))
     k = draw(st.integers(2, 4 if q == 2 else 3))
     rank_deficient = draw(st.booleans())
     entry = st.integers(0, q - 1)
