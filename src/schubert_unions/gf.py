@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-# generator matrices are written one byte per entry (pluecker.write_binary)
+# generator matrices are held one byte per entry (pluecker.GeneratorMatrix)
 MAX_Q = 256
 
 

@@ -14,8 +14,10 @@ vector from the cofactors on its trailing 1, and each free column c of row
 i splits every vector into q, digit v adding v times the cofactors T_c on
 the minors that hold c.  Only the minors a later row reads are kept, from
 the matrix's own rows down, so a union's generator matrix walks G_U and
-never the whole grid.  `cell_matrices` and `pluecker_vector` are the
-single-matrix reference the tests hold this walk to.
+never the whole grid.  Since q <= gf.MAX_Q = 256, every vector the walk
+builds is `bytes`, one byte per minor, and a generator matrix's columns are
+those bytes as they are.  `cell_matrices` and `pluecker_vector` (int tuples)
+are the single-matrix reference the tests hold this walk to.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from operator import itemgetter
 
 from . import gf
 from .grassgrid import (
@@ -96,32 +97,34 @@ def _cell_vectors(field, alpha, levels):
     """Yield the minors on level l of the cell's points in `cell_matrices` order,
     one list of last-row children per vector of rows 1..l-1.
 
-    Row i's base vector holds the cofactors on a_i; free column c's digit v
-    adds v * T_c, its cofactors, at the sets that hold c.
+    Every vector is bytes, one byte per minor.  Row i's base vector holds the
+    cofactors on a_i; free column c's digit v adds v * T_c, its cofactors, at
+    the sets that hold c.
     """
     add, neg, scale = field._add, field._neg, field._mul[1:]
     last = len(alpha) - 1
-    vecs = [(1,)]
+    vecs = [b"\1"]
     for i, (a, (size, terms)) in enumerate(zip(alpha, levels)):
         free = [c for c in range(a - 1) if c + 1 not in alpha]
         out = []
         for prev in vecs:
             cof = [[(k, neg[prev[j]] if negative else prev[j])
                     for k, j, negative in terms[c] if prev[j]] for c in (a - 1, *free)]
-            base = [0] * size
+            base = bytearray(size)
             for k, y in cof[0]:
                 base[k] = y
-            kids = [tuple(base)]
+            kids = [bytes(base)]
             for t in cof[1:]:
                 steps = [[(k, row[y]) for k, y in t] for row in scale]
                 split = []
                 for vec in kids:
                     split.append(vec)
                     for step in steps:
-                        child = list(vec)
+                        # a bytearray copy: bytes(list) costs several times tuple(list)
+                        child = bytearray(vec)
                         for k, y in step:
                             child[k] = add[child[k]][y]
-                        split.append(tuple(child))
+                        split.append(bytes(child))
                 kids = split
             if i == last:
                 yield kids
@@ -158,7 +161,8 @@ def _walk(field, params, cells, rows):
 
 
 def enumerate_points(field, params, union=None, guard=DEFAULT_POINT_GUARD):
-    """Yield (cell label, Pluecker vector) for each point, cells in lex order."""
+    """Yield (cell label, Pluecker vector) for each point, cells in lex order;
+    the vector is bytes, one byte per grid index."""
     _check_point_guard(field, params, union, guard)
     grid = full_grid(params)
     yield from _walk(field, params, grid if union is None else sorted(union.ideal()), grid)
@@ -166,11 +170,13 @@ def enumerate_points(field, params, union=None, guard=DEFAULT_POINT_GUARD):
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
+    """A generator matrix held as its columns, one `bytes` of k entries each."""
+
     field: gf.Field
     params: object
     union: SchubertUnion | None
     rows: tuple          # grid points labelling the rows
-    columns: tuple       # per point, its Pluecker coordinates on the rows
+    columns: tuple       # per point, its Pluecker coordinates on the rows, as bytes
 
     @property
     def n(self) -> int:
@@ -181,9 +187,9 @@ class GeneratorMatrix:
         return len(self.rows)
 
     def entries(self):
-        """Row-major list of rows."""
-        # one C-level gather per row; zip(*columns) would hold an iterator per column
-        return [list(map(itemgetter(i), self.columns)) for i in range(self.k)]
+        """The k rows as bytes: strided slices of the columns joined."""
+        data = b"".join(self.columns)
+        return [data[i::self.k] for i in range(self.k)]
 
     def rank(self) -> int:
         return gf.rank(self.field, self.entries())
@@ -225,5 +231,4 @@ def write_binary(genmat, stream):
         else [list(a) for a in genmat.union.maxima],
     }
     stream.write(json.dumps(header).encode() + b"\n")
-    for row in genmat.entries():
-        stream.write(bytes(row))
+    stream.writelines(genmat.entries())

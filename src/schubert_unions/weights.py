@@ -211,15 +211,18 @@ class _MaskCache:
     value tables of the two halves, and h_lo + h_hi kills column c exactly
     when h_lo . c = -(h_hi . c): a row costs q ANDs of two value-table
     entries (hi stored at -v; the q masks of lo[h] are disjoint, so their
-    sum is their OR).
+    sum is their OR).  The columns are bytes, as GeneratorMatrix holds them:
+    the value tables read the rows as strided slices of their join, and the
+    projective classes strip the columns as they are.
     """
 
     def __init__(self, field, columns, k):
         s = self.split = k // 2
         self.field, self.columns, self.k, self.n = field, columns, k, len(columns)
         q, mul, inv = field.q, field._mul, field._inv
-        # the matrix rows as bytes, last column first; k empty rows if no columns
-        rows = list(map(bytes, zip(*columns[::-1]))) or [b""] * k
+        # the matrix rows, last column first: strided slices of one join
+        data = b"".join(reversed(columns))
+        rows = [data[j::k] for j in range(k)]
         self.lo = _value_tables(field, rows[:s], self.n)
         self.hi = [[masks[u] for u in field._neg]
                    for masks in _value_tables(field, rows[s:], self.n)]
@@ -229,8 +232,7 @@ class _MaskCache:
         # scaled to lead with 1 by one translate; zero columns kept apart
         pad = bytes(256 - q)
         scale = [b""] + [bytes(mul[inv[a]]) + pad for a in range(1, q)]
-        tails = list(filter(None, map(bytes.lstrip, map(bytes, columns),
-                                      itertools.repeat(b"\0"))))
+        tails = list(filter(None, map(bytes.lstrip, columns, itertools.repeat(b"\0"))))
         self.zeros = self.n - len(tails)
         points = collections.Counter(map(bytes.translate, tails,
                                          map(scale.__getitem__, map(itemgetter(0), tails))))

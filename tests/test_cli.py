@@ -188,6 +188,15 @@ GENMATRIX_GOLDEN = [
      "419ad78ce1aeeef23619d04c7f86bb4b1e2583d90572ba36df1157b0375abd01"),
     ("--l 4 --m 7 --q 3 --union [[1,2,6,7],[2,3,4,7]] --binary",
      "acd30673ddc591058e978ada1172ee0697322b64fbc8d5077a831f7f024ec22f"),
+    # recorded while columns were int tuples: GF(256), so entries up to 255
+    ("--l 1 --m 2 --q 256",
+     "d00918ba73e887f4e45b5e98712e3360f936dd64acb34df5d2d26f388f5ace5b"),
+    ("--l 2 --m 3 --q 256 --binary",
+     "acde2450970f725227de102a0655052472236ed6a926eca47e09466c7f580995"),
+    ("--l 2 --m 4 --q 256 --union [[1,4]] --binary",
+     "b4c4bc5286477ba5e8572e4ee7ff81afaa9163e53150c75b5ca5ee1cc591c87e"),
+    ("--l 2 --m 4 --q 256 --union [[1,4]]",
+     "d08c66191f48391c07b22cb84bd79e3d2780e88d0f63ca7266c56f80dd75ef4c"),
 ]
 
 

@@ -110,6 +110,8 @@ EVERY_POINT += [(l, m, q) for l, m in ((1, 4), (2, 4)) for q in (8, 9)]
 EVERY_POINT += [(3, 6, 2)]
 # four rows, so the walk builds minors on three levels before the last row
 EVERY_POINT += [(4, 6, 3), (4, 7, 2)]
+# the top byte value: every entry of GF(256) is one byte
+EVERY_POINT += [(1, 2, 256), (2, 3, 256)]
 
 
 @pytest.mark.parametrize("l,m,q", EVERY_POINT)
@@ -124,11 +126,11 @@ def test_vector_matches_det_every_point(l, m, q):
 
 def reference_points(field, params, union=None):
     """The single-matrix stream: every cell's reduced matrices, one
-    `pluecker_vector` each, cells in lex order."""
+    `pluecker_vector` each as bytes, cells in lex order."""
     cells = full_grid(params) if union is None else sorted(union.ideal())
     for alpha in cells:
         for mat in cell_matrices(field, params, alpha):
-            yield alpha, pluecker_vector(field, params, mat)
+            yield alpha, bytes(pluecker_vector(field, params, mat))
 
 
 def assert_reference_stream(field, params, union=None):
@@ -243,10 +245,10 @@ def assert_union_rows_restrict(field, params, u):
     gm = generator_matrix(field, params, u)
     grid = full_grid(params)
     idx = [grid.index(t) for t in gm.rows]
-    assert gm.columns == tuple(tuple(vec[i] for i in idx)
+    assert gm.columns == tuple(bytes(vec[i] for i in idx)
                                for _alpha, vec in enumerate_points(field, params, u)), \
         (params, field.q, u)
-    assert gm.entries() == [[col[i] for col in gm.columns] for i in range(gm.k)]
+    assert gm.entries() == [bytes(col[i] for col in gm.columns) for i in range(gm.k)]
 
 
 @pytest.mark.parametrize("maxima", [[], [(1, 2)], [(1, 4)], [(2, 3)], [(1, 5), (2, 3)]])
@@ -327,5 +329,5 @@ def test_exports():
     assert meta == {"q": 2, "l": 2, "m": 4, "rows": gm.k, "n": gm.n,
                     "union": [[2, 3]]}
     assert len(body) == gm.k * gm.n
-    # row-major: first row of entries equals first row of the matrix
-    assert list(body[:gm.n]) == gm.entries()[0]
+    # row-major: row i is entry i of every column
+    assert body == bytes(col[i] for i in range(gm.k) for col in gm.columns)

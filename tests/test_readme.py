@@ -31,7 +31,8 @@ def test_library_example_values():
             checked.append(value)
         else:
             exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
-    assert checked == [11, "2q^5+3q^4+2q^3+2q^2+q+1", "(2,6) ∪ (3,4)", 28]
+    assert checked == [11, "2q^5+3q^4+2q^3+2q^2+q+1", "(2,6) ∪ (3,4)",
+                       b"\x01\x00\x00\x00\x00\x00", 28]
 
 
 def test_json_line_is_to_json_bytes():

@@ -288,7 +288,7 @@ def test_byte_rows_match_column_loops(q, k):
     rng = random.Random(q)
     s = k // 2
     for n in (0, 1, 2, 7, 40):
-        columns = _mixed_columns(field, k, n, rng)
+        columns = list(map(bytes, _mixed_columns(field, k, n, rng)))
         cache = _MaskCache(field, columns, k)
         assert cache.lo == _column_value_tables(field, columns, range(s))
         assert cache.hi == [[masks[u] for u in field._neg]

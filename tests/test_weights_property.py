@@ -37,7 +37,7 @@ def test_oracle_d1_is_min_weight(case):
 
 @st.composite
 def column_multisets(draw):
-    """(q, k, columns): a k x n matrix whose columns mix zero, repeated,
+    """(q, k, columns): a k x n matrix whose bytes columns mix zero, repeated,
     proportional and random ones; with rank_deficient the last coordinate
     is zero throughout."""
     q = draw(st.sampled_from([2, 3, 4, 8, 9]))
@@ -59,7 +59,7 @@ def column_multisets(draw):
         if rank_deficient:
             col = col[:-1] + (0,)
         columns.append(col)
-    return q, k, columns
+    return q, k, list(map(bytes, columns))
 
 
 def _brute_max_annihilated(field, columns, k, r):
