@@ -1,6 +1,7 @@
 """Command-line surface: tables, duals, encodings, bounds, codes, experiments.
 
-Exit codes: 0 success, 2 invalid arguments, 3 resource guard exceeded.
+Exit codes: 0 success, 2 invalid arguments, 3 resource guard exceeded, 1 when
+the reader closes stdout before the output ends.
 Every command is deterministic: identical flags give byte-identical output.
 """
 
@@ -138,7 +139,7 @@ def cmd_directions(args, out):
     params = GrassParams(args.l, args.m)
     if params.l != 2:
         raise NotTwoDim("directions are defined for l = 2")
-    dirs = [row.direction for row in optimizer.bound_table(params).rows]
+    dirs = optimizer.directions(params)
     if args.format == "json":
         out.write(json.dumps({"l": 2, "m": params.m, "directions": dirs}) + "\n")
     else:
@@ -441,7 +442,16 @@ def main(argv=None):
         if args.out:
             with _open_out(args.out, "wb" if binary else "w") as fh:
                 return handler(args, fh)
-        return handler(args, sys.stdout.buffer if binary else sys.stdout)
+        stream = sys.stdout.buffer if binary else sys.stdout
+        rc = handler(args, stream)
+        stream.flush()  # a reader that left shows up here, not at exit
+        return rc
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): send what is still buffered
+        # to devnull, so that the flush at exit neither fails nor reports
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (TooLarge, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

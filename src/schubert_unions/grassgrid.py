@@ -207,15 +207,31 @@ def lower_covers(a):
 
 
 def down_closure(points):
-    """The smallest downward-closed set holding `points`, as a frozenset."""
-    seen = set(points)
-    stack = list(seen)
-    while stack:
-        for beta in lower_covers(stack.pop()):
-            if beta not in seen:
-                seen.add(beta)
-                stack.append(beta)
-    return frozenset(seen)
+    """The smallest downward-closed set holding `points`, as a frozenset.
+
+    Built coordinate by coordinate: after a prefix (c_1..c_i), coordinate
+    i+1 runs from c_i + 1 up to the largest a_{i+1} among the points a that
+    still dominate the prefix (a_j >= c_j for j <= i).  Each point of the
+    closure is made once, with no membership test.  `points` must be valid
+    points of one grid; they need not form an antichain, but each point
+    costs a comparison at every prefix it dominates.
+    """
+    out = []
+
+    def extend(prefix, prev, alive):
+        i = len(prefix)
+        top = max([a[i] for a in alive])
+        if i == last:
+            out.extend([prefix + (v,) for v in range(prev + 1, top + 1)])
+            return
+        for v in range(prev + 1, top + 1):
+            extend(prefix + (v,), v, [a for a in alive if a[i] >= v])
+
+    points = list(points)
+    if points:
+        last = len(points[0]) - 1
+        extend((), 0, points)
+    return frozenset(out)
 
 
 def validate_point(params, alpha):
@@ -274,16 +290,6 @@ class SchubertUnion:
         return u
 
     @classmethod
-    def _from_down_set(cls, params, pts):
-        """Union whose ideal is the down-set `pts`, built without checks.
-
-        `pts` must be a frozenset of valid grid points that is downward
-        closed; the maxima are its points that are no point's lower cover.
-        """
-        covered = {b for a in pts for b in lower_covers(a)}
-        return cls._build(params, tuple(sorted(pts - covered)), pts, None)
-
-    @classmethod
     def empty(cls, params):
         return cls(params, ())
 
@@ -298,7 +304,10 @@ class SchubertUnion:
         return cls(params, (alpha,))
 
     def ideal(self):
-        """The downward-closed grid subset G_U generated by the maxima."""
+        """The downward-closed grid subset G_U generated by the maxima.
+
+        Built from the maxima on first use and kept in `_ideal`.
+        """
         if self._ideal is None:
             object.__setattr__(self, "_ideal", down_closure(self.maxima))
         return self._ideal
@@ -308,13 +317,20 @@ class SchubertUnion:
         return frozenset(full_grid(self.params)) - self.ideal()
 
     def span(self) -> int:
-        """Affine spanning dimension K = |G_U|."""
+        """Affine spanning dimension K = |G_U|.
+
+        g_U(1) for a union that carries its point count, which builds no
+        point set.
+        """
+        if self._g is not None:
+            return self._g(1)
         return len(self.ideal())
 
     def point_count(self) -> Poly:
         """g_U(q): cells of G_U counted by dimension.
 
-        Read from the enumeration for unions `enumerate_ideals` built.
+        Carried by the unions that `enumerate_ideals` and `optimal_unions`
+        build, decoded from the walk's g code.
         """
         if self._g is not None:
             return self._g
@@ -355,42 +371,60 @@ class SchubertUnion:
 def canonicalize(params, points):
     """Union whose ideal is `points`; raises NotDownwardClosed unless an ideal.
 
-    The message names points that the set's down-closure adds.
+    The message names points that the set's down-closure adds.  A point
+    that is a lower cover of another point of the set adds nothing to the
+    closure, so only the others are closed; in an ideal they are the maxima.
     """
     pts = frozenset(validate_point(params, p) for p in points)
-    missing = down_closure(pts) - pts
+    tops = pts - {b for a in pts for b in lower_covers(a)}
+    missing = down_closure(tops) - pts
     if missing:
         raise NotDownwardClosed(f"missing points below maxima, e.g. {sorted(missing)[:3]}")
-    return SchubertUnion._from_down_set(params, pts)
+    return SchubertUnion._build(params, tuple(sorted(tops)), pts, None)
 
 
 def _walk(points):
-    """Every down-set of `points` as (ideal mask, maxima mask, cell counts).
+    """Every down-set of `points` as (ideal mask, maxima mask, g code).
 
     Bit i stands for points[i].  `points` must be a down-set sorted
     lexicographically, a linear extension of the grid order, so each point's
     lower covers precede it and a point added after the current ones lies
-    above none of them.  A frame is (next index, ideal, maxima, counts); point
+    above none of them.  A frame is (next index, ideal, maxima, g); point
     j >= next may join when its lower covers are all chosen, which drops them
-    from the maxima, makes j a maximum and adds one cell of j's dimension.
-    Frames are pushed in ascending j and popped in descending j, so the sets
-    come in ascending order of their characteristic vectors read as binary
-    numbers, first point most significant.
+    from the maxima, makes j a maximum and adds one cell of j's dimension d
+    to g.  g is g_U(B) with B = len(points) + 1, so it grows by B ** d: every
+    coefficient counts points and stays below B, and `_decode(g, B)` gives
+    g_U(q) back.  Frames are pushed in ascending j and popped in descending j,
+    so the sets come in ascending order of their characteristic vectors read
+    as binary numbers, first point most significant.
     """
     index = {a: i for i, a in enumerate(points)}
     covers = [sum(1 << index[b] for b in lower_covers(a)) for a in points]
-    dims = [cell_dimension(a, len(a)) for a in points]
+    base = len(points) + 1
+    cells = [base ** cell_dimension(a, len(a)) for a in points]
     n = len(points)
-    stack = [(0, 0, 0, (0,) * (max(dims, default=-1) + 1))]
+    stack = [(0, 0, 0, 0)]
     while stack:
-        nxt, ideal, maxima, counts = frame = stack.pop()
+        nxt, ideal, maxima, g = frame = stack.pop()
         yield frame
         for j in range(nxt, n):
             cov = covers[j]
             if ideal & cov == cov:
-                d = dims[j]
-                stack.append((j + 1, ideal | 1 << j, maxima & ~cov | 1 << j,
-                              counts[:d] + (counts[d] + 1,) + counts[d + 1:]))
+                stack.append((j + 1, ideal | 1 << j, maxima & ~cov | 1 << j, g + cells[j]))
+
+
+def _decode(code, base) -> Poly:
+    """The polynomial whose coefficients are the base-`base` digits of `code`.
+
+    With every coefficient in 0..base-1, a polynomial's value at `base` is
+    this code, and comparing codes as integers orders the polynomials as
+    Poly does: by degree, then by coefficients from the top down.
+    """
+    coeffs = []
+    while code:
+        code, c = divmod(code, base)
+        coeffs.append(c)
+    return Poly(coeffs)
 
 
 def _picked(points, mask):
@@ -406,21 +440,31 @@ def down_sets(points):
     set costs one stack frame, one bitmask test for each point after the last
     one it added, and the frozenset: O(len(points)) steps per set.
     """
-    for _nxt, ideal, _maxima, _counts in _walk(points):
+    for _nxt, ideal, _maxima, _g in _walk(points):
         yield frozenset({*_picked(points, ideal)})
+
+
+def _guarded_grid(params, guard):
+    """The full grid of `params`, after checking its size against the guard.
+
+    The check reads binomial(m, l) and builds no grid point.
+    """
+    if params.k > guard:
+        raise TooLarge(f"grid has {count_text(params.k)} points, guard is {guard}")
+    return full_grid(params)
 
 
 def enumerate_ideals(params, guard=DEFAULT_IDEAL_GUARD):
     """Yield every Schubert union of G(l,m) exactly once, canonically.
 
-    Each union carries its maxima, ideal and point count from the walk.
+    Each union carries its maxima and its point count, decoded from the
+    walk's g code; its point set is built only if `ideal()` is called.
     """
-    if params.k > guard:
-        raise TooLarge(f"grid has {count_text(params.k)} points, guard is {guard}")
-    grid = full_grid(params)
-    for _nxt, ideal, maxima, counts in _walk(grid):
-        yield SchubertUnion._build(params, tuple(_picked(grid, maxima)),
-                                   frozenset({*_picked(grid, ideal)}), Poly(counts))
+    grid = _guarded_grid(params, guard)
+    base = len(grid) + 1
+    for _nxt, _ideal, maxima, g in _walk(grid):
+        yield SchubertUnion._build(params, tuple(_picked(grid, maxima)), None,
+                                   _decode(g, base))
 
 
 def grand_total(params) -> Poly:

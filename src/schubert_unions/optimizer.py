@@ -17,8 +17,11 @@ from .grassgrid import (
     GrassParams,
     Poly,
     SchubertUnion,
+    _decode,
+    _guarded_grid,
+    _picked,
+    _walk,
     canonicalize,
-    enumerate_ideals,
     grand_total,
 )
 from .twodim import _require_l2
@@ -62,8 +65,11 @@ def best_union(params, K):
     return (right if direction == "R" else left), direction
 
 
-def _direction(g_left: Poly, g_right: Poly) -> str:
-    """'L', 'R' or 'LR': which candidate's g is lex-larger (Poly order)."""
+def _direction(g_left, g_right) -> str:
+    """'L', 'R' or 'LR': which candidate's g is larger.
+
+    Takes two Polys (lex order) or two codes of one base (int order).
+    """
     if g_left > g_right:
         return "L"
     if g_left < g_right:
@@ -71,14 +77,35 @@ def _direction(g_left: Poly, g_right: Poly) -> str:
     return "LR"
 
 
-def _running_counts(m, fill):
-    """g of the first K cells of a fill order of G(2,m), for K = 0..k."""
-    counts = [0] * (2 * m - 3)
-    out = [Poly()]
+def _running_codes(m, fill):
+    """g(B) of the first K cells of a fill order of G(2,m), for K = 0..k.
+
+    B = k + 1 exceeds every coefficient, so `_decode(code, B)` is g.
+    """
+    base = m * (m - 1) // 2 + 1
+    cells = [base ** d for d in range(2 * m - 3)]
+    g = 0
+    out = [g]
     for x, y in fill(m):
-        counts[x + y - 3] += 1
-        out.append(Poly(counts))
+        g += cells[x + y - 3]
+        out.append(g)
     return out
+
+
+def _l2_best(m):
+    """(code of the larger g, direction) of the two candidates, for K = 0..k.
+
+    The codes are in base k + 1 (see `_running_codes`).
+    """
+    for g_left, g_right in zip(_running_codes(m, _column_fill), _running_codes(m, _row_fill)):
+        direction = _direction(g_left, g_right)
+        yield (g_right if direction == "R" else g_left), direction
+
+
+def directions(params):
+    """The l=2 direction row: 'L', 'R' or 'LR' for r = 0..k, no polynomial built."""
+    _require_l2(params)
+    return [direction for _g, direction in _l2_best(params.m)][::-1]
 
 
 @dataclass(frozen=True)
@@ -126,34 +153,44 @@ def bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:
     """J_r / D_r / E_r for r = 0..k.
 
     For l = 2 each spanning dimension is settled by the two candidates and
-    the direction is recorded.  Their g for every K comes from one pass
-    over each candidate's fill order, adding one cell at a time: O(k)
-    polynomial steps and no unions built.  Otherwise every ideal is
-    enumerated (guarded).
+    the direction is recorded.  Their g(k+1) for every K comes from one pass
+    over each candidate's fill order, adding one cell at a time: O(k) integer
+    steps, no unions built, and one J decoded per row.  Otherwise every ideal
+    is enumerated (guarded).
     """
     if params.l == 2:
-        m = params.m
-        best_by_span = {}
-        for K, (g_left, g_right) in enumerate(zip(_running_counts(m, _column_fill),
-                                                  _running_counts(m, _row_fill))):
-            direction = _direction(g_left, g_right)
-            best_by_span[K] = (g_right if direction == "R" else g_left, direction)
+        base = params.k + 1
+        best_by_span = {K: (_decode(g, base), direction)
+                        for K, (g, direction) in enumerate(_l2_best(params.m))}
         return _table_from_best(params, best_by_span)
     return exhaustive_bound_table(params, guard)
 
 
 def optimal_unions(params, guard=DEFAULT_IDEAL_GUARD):
-    """span -> (lex-max g_U, set of unions attaining it), over every order ideal."""
-    best = {}
-    for u in enumerate_ideals(params, guard):
-        K = u.span()
-        g = u.point_count()
-        have = best.get(K)
-        if have is None or g > have[0]:
-            best[K] = (g, {u})
-        elif g == have[0]:
-            have[1].add(u)
-    return best
+    """span -> (lex-max g_U, set of unions attaining it), over every order ideal.
+
+    The walk's g codes are compared as integers, which is the lex order of
+    the polynomials (see `grassgrid._walk`).  Tied ideals are kept as maxima
+    masks; unions and polynomials are built only for each span's winners.
+    """
+    grid = _guarded_grid(params, guard)
+    base = len(grid) + 1
+    # one slot per span 0..k; every span is reached, since ideals form chains
+    best = [-1] * base
+    tied = [None] * base
+    for _nxt, ideal, maxima, g in _walk(grid):
+        K = ideal.bit_count()
+        if g > best[K]:
+            best[K] = g
+            tied[K] = [maxima]
+        elif g == best[K]:
+            tied[K].append(maxima)
+    out = {}
+    for K, (g, masks) in enumerate(zip(best, tied)):
+        poly = _decode(g, base)
+        out[K] = (poly, {SchubertUnion._build(params, tuple(_picked(grid, mask)), None, poly)
+                         for mask in masks})
+    return out
 
 
 def exhaustive_bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:

@@ -64,12 +64,21 @@ class SigmaSeq:
 
 
 def union_to_mset(union: SchubertUnion) -> MSet:
-    """Per-column cell counts of G_U, as a subset of {1..m-1}."""
+    """Per-column cell counts of G_U, as a subset of {1..m-1}.
+
+    Read from the maxima, which builds no point set: column x holds the
+    cells (x, x+1)..(x, Y_x), where Y_x is the largest b over maxima (a, b)
+    with a >= x.  Sorted by a, the maxima have b decreasing, so Y_x is the
+    b of the first maximum with a >= x.
+    """
     _require_l2(union.params)
-    counts = {}
-    for x, _y in union.ideal():
-        counts[x] = counts.get(x, 0) + 1
-    return MSet(union.params.m, tuple(sorted(counts.values())))
+    heights = []
+    x = 1
+    for a, b in union.maxima:
+        heights.extend(b - col for col in range(x, a + 1))
+        x = a + 1
+    # the heights fall strictly from column to column
+    return MSet(union.params.m, tuple(reversed(heights)))
 
 
 def mset_to_union(mset: MSet) -> SchubertUnion:

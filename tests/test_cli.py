@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -893,3 +896,21 @@ def test_weights_builds_no_field_without_oracle(capsys, monkeypatch, extra):
 def test_bad_q_refused_on_every_weights_path(capsys, q, err, extra):
     assert run_cli(["weights", "--l", "2", "--m", "4", "--q", q, *extra],
                    capsys) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--l", "3", "--m", "8", "--guard", "56"],
+    ["genmatrix", "--l", "2", "--m", "6", "--q", "3", "--binary"],
+], ids=["enumerate", "genmatrix-binary"])
+def test_closed_stdout_exits_1_quietly(argv):
+    # both outputs pass 150 kB, more than a pipe buffers, so the program is
+    # still writing when the reader closes its end after one byte
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop(cli.GUARD_ENV, None)
+    proc = subprocess.Popen([sys.executable, "-m", "schubert_unions.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")

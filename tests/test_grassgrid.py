@@ -9,6 +9,9 @@ from schubert_unions.grassgrid import (
     Poly,
     SchubertUnion,
     TooLarge,
+    _decode,
+    _picked,
+    _walk,
     canonicalize,
     cell_count,
     cell_dimension,
@@ -149,7 +152,7 @@ def pairwise_refusal(pts):
                                     GrassParams(2, 10), GrassParams(4, 8)], ids=repr)
 def test_lower_cover_maxima_and_closure_match_old_rules(params):
     for pts in down_sets(full_grid(params)):
-        u = SchubertUnion._from_down_set(params, pts)
+        u = canonicalize(params, pts)
         assert u.maxima == pairwise_maxima(pts)
         assert down_closure(u.maxima) == stack_walk_ideal(u.maxima) == pts
 
@@ -280,9 +283,10 @@ def test_intersection_of_cycle_ideals_is_min_tuple():
 
 
 def test_span_equals_poly_at_one():
+    # span() reads g(1) for enumerated unions, so count the point set itself
     for params in (GrassParams(2, 7), GrassParams(3, 6)):
         for u in enumerate_ideals(params):
-            assert u.point_count()(1) == u.span()
+            assert u.point_count()(1) == len(u.ideal())
 
 
 def test_degree_equals_krull():
@@ -396,7 +400,7 @@ def test_down_sets_match_below_table():
         unions = list(enumerate_ideals(params, guard=params.k))
         assert len(unions) == len(reference), params
         for u, pts in zip(unions, reference):
-            rebuilt = SchubertUnion._from_down_set(params, pts)
+            rebuilt = canonicalize(params, pts)
             assert u.maxima == rebuilt.maxima and u.ideal() == pts, (params, pts)
             assert u.point_count() == cell_count(pts, params.l), (params, pts)
     assert list(down_sets([])) == [frozenset()]
@@ -421,3 +425,36 @@ def test_enumerate_ideals_never_compares_points(monkeypatch):
     monkeypatch.setattr(grassgrid, "point_leq", refuse)
     assert sum(1 for _ in enumerate_ideals(GrassParams(3, 6))) == 66
     assert sum(1 for _ in enumerate_ideals(GrassParams(2, 7))) == 64
+
+
+@pytest.mark.parametrize("params", [GrassParams(l, m) for l in (2, 3) for m in range(l + 1, 9)]
+                         + [GrassParams(2, m) for m in (9, 10)] + [GrassParams(4, 8)],
+                         ids=repr)
+def test_walk_codes_decode_to_cell_counts(params):
+    grid = full_grid(params)
+    base = len(grid) + 1
+    for _nxt, ideal, _maxima, g in _walk(grid):
+        pts = list(_picked(grid, ideal))
+        assert _decode(g, base) == cell_count(pts, params.l), pts
+        assert _decode(g, base)(1) == ideal.bit_count() == len(pts), pts
+
+
+def test_decode_order_is_lex_order():
+    # a code's integer order is Poly's order while every coefficient is below the base
+    rng = random.Random(21)
+    base = 7
+    polys = [Poly([rng.randrange(base) for _ in range(rng.randrange(5))]) for _ in range(300)]
+    for p in polys:
+        code = p(base)
+        assert _decode(code, base) == p
+    for p, r in itertools.combinations(polys, 2):
+        assert (p(base) < r(base)) == (p < r) and (p(base) == r(base)) == (p == r)
+
+
+def test_enumerated_unions_build_no_point_set():
+    # span() reads g(1); ideal() fills the slot from the maxima on first use
+    unions = list(enumerate_ideals(GrassParams(3, 6)))
+    spans = [u.span() for u in unions]
+    assert all(u._ideal is None for u in unions)
+    assert spans == [len(u.ideal()) for u in unions]
+    assert all(u._ideal is not None for u in unions)

@@ -4,6 +4,7 @@ from schubert_unions.grassgrid import (
     GrassParams,
     Poly,
     SchubertUnion,
+    _decode,
     enumerate_ideals,
 )
 from schubert_unions.optimizer import (
@@ -11,15 +12,17 @@ from schubert_unions.optimizer import (
     best_union,
     bound_table,
     cardinality,
+    directions,
     exhaustive_bound_table,
     krull_C,
     krull_dK,
     left_candidate,
+    optimal_unions,
     right_candidate,
     threshold_report,
 )
 
-from schubert_unions.optimizer import _column_fill, _row_fill, _running_counts
+from schubert_unions.optimizer import _column_fill, _row_fill, _running_codes
 
 from table_fixtures import DIRECTIONS, E_EXPONENTS
 
@@ -98,14 +101,49 @@ def test_direction_tables():
 def test_running_counts_match_candidates(m):
     # the l=2 table adds one cell at a time; the candidate unions are the reference
     p = GrassParams(2, m)
-    left = _running_counts(m, _column_fill)
-    right = _running_counts(m, _row_fill)
+    base = p.k + 1
+    left = [_decode(g, base) for g in _running_codes(m, _column_fill)]
+    right = [_decode(g, base) for g in _running_codes(m, _row_fill)]
     assert len(left) == len(right) == p.k + 1
     table = bound_table(p)
     for K in range(p.k + 1):
         lu, ru = left_candidate(p, K), right_candidate(p, K)
         assert (left[K], right[K]) == (lu.point_count(), ru.point_count())
         assert table.row(p.k - K).J == max(left[K], right[K])
+
+
+def test_directions_match_bound_table():
+    for m in range(3, 31):
+        p = GrassParams(2, m)
+        assert directions(p) == [row.direction for row in bound_table(p).rows], m
+
+
+def reference_optimal_unions(params, guard):
+    """optimal_unions as it was before it compared walk codes: every
+    enumerated union, compared by its Poly."""
+    best = {}
+    for u in enumerate_ideals(params, guard):
+        K = u.span()
+        g = u.point_count()
+        have = best.get(K)
+        if have is None or g > have[0]:
+            best[K] = (g, {u})
+        elif g == have[0]:
+            have[1].add(u)
+    return best
+
+
+@pytest.mark.parametrize("params", [GrassParams(2, m) for m in range(4, 12)]
+                         + [GrassParams(3, m) for m in range(5, 9)] + [GrassParams(4, 8)],
+                         ids=repr)
+def test_optimal_unions_match_poly_reference(params):
+    got = optimal_unions(params, guard=params.k)
+    want = reference_optimal_unions(params, guard=params.k)
+    assert got.keys() == want.keys()
+    for K, (g, unions) in want.items():
+        assert got[K][0] == g, K
+        assert got[K][1] == unions, K
+        assert all(u.point_count() == g for u in got[K][1]), K
 
 
 def test_bound_table_er_sequences():
@@ -145,15 +183,7 @@ def test_two_cycle_optimality():
     # some lex-maximal union with at most two maxima exists for every K
     for m in range(3, 13):
         params = GrassParams(2, m)
-        best = {}
-        for u in enumerate_ideals(params, guard=params.k):
-            K = u.span()
-            g = u.point_count()
-            have = best.get(K)
-            if have is None or g > have[0]:
-                best[K] = (g, {u})
-            elif g == have[0]:
-                have[1].add(u)
+        best = reference_optimal_unions(params, guard=params.k)
         for K, (_g, opt) in best.items():
             assert any(len(u.maxima) <= 2 for u in opt), (m, K)
 

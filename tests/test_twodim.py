@@ -140,3 +140,12 @@ def test_transforms_commute_with_duality():
             lhs = mset_complement(union_to_mset(u))
             rhs = union_to_mset(sigma_to_union(dual_sigma(union_to_sigma(u))))
             assert lhs.elements == rhs.elements
+
+
+def test_mset_from_maxima_matches_column_counts():
+    for m in range(3, 12):
+        for u in enumerate_ideals(GrassParams(2, m), guard=55):
+            columns = {}
+            for x, _y in u.ideal():
+                columns[x] = columns.get(x, 0) + 1
+            assert union_to_mset(u).elements == tuple(sorted(columns.values())), u
