@@ -9,21 +9,36 @@ Pluecker coordinates are the maximal minors taken in increasing column
 order, so the cell's own coordinate is 1 and the output is deterministic.
 
 The minors of rows 1..i are linear in row i, so a cell is walked row by
-row from the empty minor 1: each vector of rows 1..i-1 gives row i's base
-vector from the cofactors on its trailing 1, and each free column c of row
-i splits every vector into q, digit v adding v times the cofactors T_c on
-the minors that hold c.  Only the minors a later row reads are kept, from
-the matrix's own rows down, so a union's generator matrix walks G_U and
-never the whole grid.  Since q <= gf.MAX_Q = 256, every vector the walk
-builds is `bytes`, one byte per minor, and a generator matrix's columns are
-those bytes as they are.  `cell_matrices` and `pluecker_vector` (int tuples)
-are the single-matrix reference the tests hold this walk to.
+row from the empty minor 1: each vector of rows 1..i-1 (a parent) gives row
+i's base vector from the cofactors on its trailing 1, and each free column c
+of row i splits every vector into q, digit v adding v times the cofactors
+T_c on the minors that hold c.  Only the minors a later row reads are kept,
+from the matrix's own rows down, so a union's generator matrix walks G_U and
+never the whole grid.
+
+A row is built in packed blocks (`_Lanes`): one Python int holds a lane of
+W bits per minor of every child of a group of the row's parents.  A lane
+holds enc(x), the e base-p digits of x in slots of b bits.  For p = 2 a slot
+is one bit and field addition is XOR.  For odd p, b = (2p-2).bit_length(),
+so a slot holds the sum of two digits: one int addition adds every lane at
+once, and one correction, s - (((s + C) & H) >> (b-1)) * p with
+C = 2^(b-1) - p and H = 2^(b-1) in every slot, takes p from each slot that
+reached p.  W is 8 when e*b <= 8 (every q = 2^e, q = 9, 25, 49 and the
+primes up to 127) and 16 otherwise, so lanes are whole bytes: repetition,
+strided slices and `translate` through the multiplication table build a
+block without a Python loop over its children, and `to_bytes` with one
+`translate` (for 16-bit lanes, a recombination of the digits) decodes it.
+Since q <= gf.MAX_Q = 256, every vector the walk yields is `bytes`, one
+byte per minor, and a generator matrix's columns are those bytes as they
+are.  `cell_matrices` and `pluecker_vector` (int tuples) are the
+single-matrix reference the tests hold this walk to.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import struct
 from dataclasses import dataclass
 
 from . import gf
@@ -76,8 +91,10 @@ def _levels(params, rows):
     """Per row i = 1..l, the size of level i and, per column c, its expansion terms.
 
     Level l is `rows`; level i-1 holds every S minus c for S at level i, in
-    lex order.  The terms on column c are (index of S at level i, index of
-    S minus c at level i-1, negative) for every S at level i that holds c.
+    lex order.  The terms on column c are (index k of S at level i, j) for
+    every S at level i that holds c, where j is the index of S minus c at
+    level i-1 when the cofactor's sign is +, and that plus the size of level
+    i-1 when it is -.
     """
     levels = []
     sets = list(rows)
@@ -87,50 +104,180 @@ def _levels(params, rows):
         by_column = [[] for _ in range(params.m)]
         for k, s in enumerate(sets):
             for t, c in enumerate(s):
-                by_column[c - 1].append((k, index[s[:t] + s[t + 1:]], (i - 1 + t) % 2 == 1))
+                sign = (i - 1 + t) % 2 * len(lower)
+                by_column[c - 1].append((k, index[s[:t] + s[t + 1:]] + sign))
         levels.append((len(sets), by_column))
         sets = lower
     return levels[::-1]
 
 
-def _cell_vectors(field, alpha, levels):
-    """Yield the minors on level l of the cell's points in `cell_matrices` order,
-    one list of last-row children per vector of rows 1..l-1.
+# lanes in one packed block: bounds the ints a walk works on
+_BLOCK_LANES = 1 << 14
 
-    Every vector is bytes, one byte per minor.  Row i's base vector holds the
-    cofactors on a_i; free column c's digit v adds v * T_c, its cofactors, at
-    the sets that hold c.
+
+class _Lanes:
+    """One walk's packed vectors: an int with one lane of W bits per minor.
+
+    Minor k's lane holds enc(x): the e base-p digits of x, lowest first, in
+    slots of b bits.  For p = 2, b = 1 and lane addition is XOR.  For odd p,
+    b = (2p-2).bit_length(), so that a slot holds the sum of two digits: one
+    int addition adds every lane at once, and one correction subtracts p
+    from each slot that reached p.  W is 8 when e*b <= 8 and 16 otherwise,
+    so lanes are whole bytes, and `bytes` operations move them: repetition,
+    strided slices, `translate` through per-element tables.
     """
-    add, neg, scale = field._add, field._neg, field._mul[1:]
-    last = len(alpha) - 1
-    vecs = [b"\1"]
-    for i, (a, (size, terms)) in enumerate(zip(alpha, levels)):
-        free = [c for c in range(a - 1) if c + 1 not in alpha]
-        out = []
-        for prev in vecs:
-            cof = [[(k, neg[prev[j]] if negative else prev[j])
-                    for k, j, negative in terms[c] if prev[j]] for c in (a - 1, *free)]
-            base = bytearray(size)
-            for k, y in cof[0]:
-                base[k] = y
-            kids = [bytes(base)]
-            for t in cof[1:]:
-                steps = [[(k, row[y]) for k, y in t] for row in scale]
-                split = []
-                for vec in kids:
-                    split.append(vec)
-                    for step in steps:
-                        # a bytearray copy: bytes(list) costs several times tuple(list)
-                        child = bytearray(vec)
-                        for k, y in step:
-                            child[k] = add[child[k]][y]
-                        split.append(bytes(child))
-                kids = split
-            if i == last:
-                yield kids
-            else:
-                out += kids
-        vecs = out
+
+    def __init__(self, field):
+        p, e, q = field.p, field.e, field.q
+        b = 1 if p == 2 else (2 * p - 2).bit_length()
+        w = 1 if e * b <= 8 else 2
+        enc = list(range(q))
+        for x in range(p, q):   # digit j of x to slot j
+            enc[x] = enc[x // p] << b | x % p
+        self.p, self.q, self.b, self.e, self.width = p, q, b, e, w
+        # per v, per byte h of a lane, the table y -> byte h of enc(v * y);
+        # none for a high byte that is always 0
+        pad = bytes(256 - q)
+        codes = [bytes(c >> 8 * h & 255 for c in enc) + pad
+                 for h in range(w if max(enc) > 255 else 1)]
+        self.scale = [[bytes(row).translate(code) + pad for code in codes] for row in field._mul]
+        self.negate = bytes(field._neg) + pad
+        self.dec = bytearray(256)   # enc(x) -> x, for one-byte lanes
+        if w == 1:
+            for x, c in enumerate(enc):
+                self.dec[c] = x
+        self.slot = ()
+        if p > 2:
+            # per slot, 2^(b-1) - p, which reaches bit b-1 exactly when added
+            # to a slot of p or more, and that bit; the lowest slot's mask
+            ones = sum(1 << j * b for j in range(e))
+            self.slot = tuple((c * ones).to_bytes(w, "little")
+                              for c in ((1 << b - 1) - p, 1 << b - 1))
+            self.low = ((1 << b) - 1).to_bytes(w, "little")
+
+    def encode(self, elems, v=1):
+        """The lanes of v * y for the elements y of `elems`, as bytes."""
+        tables = self.scale[v]
+        if self.width == 1:
+            return elems.translate(tables[0])
+        out = bytearray(2 * len(elems))
+        for h, table in enumerate(tables):
+            out[h::2] = elems.translate(table)
+        return out
+
+    def multiples(self, elems):
+        """`encode(elems, v)` for v = 0, 1, ..., q-1."""
+        if self.width == 1:
+            return [elems.translate(tables[0]) for tables in self.scale]
+        return [self.encode(elems, v) for v in range(self.q)]
+
+    def consts(self, lanes):
+        """The slot constants of `add` over a block of `lanes` lanes."""
+        return [int.from_bytes(c * lanes, "little") for c in self.slot]
+
+    def add(self, x, y, consts):
+        """Lane-wise field sum of two packed blocks."""
+        if self.p == 2:
+            return x ^ y
+        c, top = consts
+        s = x + y
+        return s - ((s + c & top) >> self.b - 1) * self.p
+
+    def decode(self, x, lanes):
+        """The elements of a packed block of `lanes` lanes, one byte each."""
+        if self.width == 2:
+            # each lane's digits recombined; the element fits the low byte
+            mask = int.from_bytes(self.low * lanes, "little")
+            x = sum((x >> j * self.b & mask) * self.p ** j for j in range(self.e))
+            return x.to_bytes(2 * lanes, "little")[::2]
+        if self.p == 2:   # enc(x) = x
+            return x.to_bytes(lanes, "little")
+        return x.to_bytes(lanes, "little").translate(self.dec)
+
+    def _entries(self, parents, size_prev):
+        """Entry j of every parent vector, then minus entry j, for each j."""
+        entries = [parents[j::size_prev] for j in range(size_prev)]
+        if self.p == 2:   # -y = y
+            return entries * 2
+        return entries + [e.translate(self.negate) for e in entries]
+
+    @staticmethod
+    def _gather(entries, count, size, terms):
+        """Per parent, the `size` cofactors of one column: at lane k, the
+        signed entry j, for each term (k, j)."""
+        out = bytearray(count * size)
+        for k, j in terms:
+            out[k::size] = entries[j]
+        return out
+
+    def _increment(self, entries, count, size, free, consts):
+        """The packed sum of v_c * T_c over every digit setting of the free
+        columns, T_c read from each of `count` parents: digit settings in
+        odometer order (the last column fastest), and within each, the
+        parents in order.
+
+        Per column, `multiples` gives v * T_c for every parent and digit v at
+        once, each repeated over the settings where the column's digit is v.
+        """
+        q, n = self.q, self.q ** len(free)
+        inc = 0
+        for s, terms in enumerate(reversed(free)):
+            rep = q ** s
+            step = b"".join([m * rep for m in self.multiples(
+                self._gather(entries, count, size, terms))]) * (n // rep // q)
+            step = int.from_bytes(step, "little")
+            inc = self.add(inc, step, consts) if inc else step
+        return inc
+
+    def _expand(self, starts, inc, size, n, consts):
+        """Start plus increment for every start (`size` elements each) and
+        each of the n digit settings of an `_increment`, start by start."""
+        count = len(starts) // size
+        x = int.from_bytes(self.encode(starts) * n, "little")
+        if inc:
+            x = self.add(x, inc, consts)
+        # n children at a time: the unpacker stays small
+        flat = list(itertools.chain.from_iterable(struct.iter_unpack(
+            f"{size}s" * n, self.decode(x, count * n * size))))
+        kids = []
+        for i in range(count):
+            kids += flat[i::count]
+        return kids
+
+    def children(self, parents, size_prev, size, pivot, free):
+        """Yield, in lists, the vectors of `size` minors one row adds to the
+        parents (each `size_prev` minors of the rows above): per parent, its
+        base vector, the cofactors on the row's pivot, plus v_c times the
+        cofactors T_c of each free column c, over every digit setting.
+
+        Terms (k, j) read the cofactor at lane k from signed entry j of the
+        parent (see `_levels`).  Parents go in groups whose blocks fit
+        _BLOCK_LANES.  A parent whose own block does not is cut: each of its
+        children over the leading free columns gets the trailing columns'
+        increment.
+        """
+        q = self.q
+        inner = len(free)
+        while inner > 1 and q ** inner * size > _BLOCK_LANES:
+            inner -= 1
+        n = q ** inner
+        if inner == len(free):
+            group = max(1, _BLOCK_LANES // (n * size))
+            for i in range(0, len(parents), group):
+                count = min(group, len(parents) - i)
+                entries = self._entries(b"".join(parents[i:i + group]), size_prev)
+                consts = self.consts(count * n * size) if free else ()
+                yield self._expand(self._gather(entries, count, size, pivot),
+                                   self._increment(entries, count, size, free, consts),
+                                   size, n, consts)
+            return
+        consts = self.consts(n * size)
+        for parent in parents:
+            inc = self._increment(self._entries(parent, size_prev), 1, size, free[-inner:],
+                                  consts)
+            for heads in self.children([parent], size_prev, size, pivot, free[:-inner]):
+                for head in heads:
+                    yield self._expand(head, inc, size, n, consts)
 
 
 def _check_point_guard(field, params, union, guard):
@@ -152,12 +299,36 @@ def _check_point_guard(field, params, union, guard):
 
 
 def _walk(field, params, cells, rows):
-    """Yield (cell label, minors on rows) for each point of the cells, in order."""
+    """Yield (cell label, list of minors on rows) for the points of the cells,
+    in order and in `cell_matrices` order within a cell, a list at a time.
+
+    Every vector is bytes, one byte per minor.  Row i's base vector holds the
+    cofactors on a_i; free column c's digit v adds v * T_c, its cofactors, at
+    the sets that hold c.  Rows 1..i depend on a_1..a_i alone, and cells in
+    lex order share their leading pivots with the cell before, so the vectors
+    of those rows are kept and not walked again.
+    """
+    lanes = _Lanes(field)
     levels = _levels(params, rows)
+    sizes = [1] + [size for size, _terms in levels]
+    done = []   # per row i < l of the last cell: (a_i, vectors of rows 1..i)
     for alpha in cells:
-        for kids in _cell_vectors(field, alpha, levels):
-            for vec in kids:
-                yield alpha, vec
+        keep = 0
+        while keep < len(done) and done[keep][0] == alpha[keep]:
+            keep += 1
+        del done[keep:]
+        for i in range(keep, len(alpha)):
+            a, (size, terms) = alpha[i], levels[i]
+            free = [terms[c] for c in range(a - 1) if c + 1 not in alpha]
+            blocks = lanes.children(done[-1][1] if done else [b"\1"], sizes[i], size,
+                                    terms[a - 1], free)
+            if i < len(alpha) - 1:
+                vecs = []
+                for kids in blocks:
+                    vecs += kids
+                done.append((a, vecs))
+        for kids in blocks:
+            yield alpha, kids
 
 
 def enumerate_points(field, params, union=None, guard=DEFAULT_POINT_GUARD):
@@ -165,7 +336,10 @@ def enumerate_points(field, params, union=None, guard=DEFAULT_POINT_GUARD):
     the vector is bytes, one byte per grid index."""
     _check_point_guard(field, params, union, guard)
     grid = full_grid(params)
-    yield from _walk(field, params, grid if union is None else sorted(union.ideal()), grid)
+    cells = grid if union is None else sorted(union.ideal())
+    for alpha, kids in _walk(field, params, cells, grid):
+        for vec in kids:
+            yield alpha, vec
 
 
 @dataclass(frozen=True)
@@ -206,7 +380,10 @@ def generator_matrix(field, params, union=None, guard=DEFAULT_POINT_GUARD):
     rows = tuple(full_grid(params) if union is None else sorted(union.ideal()))
     # built as a list: tuple() of a generator resizes its tuple as it grows,
     # and each resize puts it back in the youngest GC generation
-    columns = tuple([vec for _alpha, vec in _walk(field, params, rows, rows)])
+    columns = []
+    for _alpha, kids in _walk(field, params, rows, rows):
+        columns += kids
+    columns = tuple(columns)
     return GeneratorMatrix(field, params, union, rows, columns)
 
 

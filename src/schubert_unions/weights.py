@@ -240,8 +240,10 @@ class _MaskCache:
         self.d1 = None
 
     def mask(self, row):
-        """Zero-set mask of a row given as a tuple, memoized; the sweep
-        reads the tables through codes instead (_level)."""
+        """Zero-set mask of a row of field elements, memoized by the row as
+        bytes, so a tuple and bytes of one functional share an entry; the
+        sweep reads the tables through codes instead (_level)."""
+        row = bytes(row)
         got = self.cache.get(row)
         if got is None:
             s, place = self.split, self.place
@@ -277,8 +279,8 @@ class _MaskCache:
         columns' masks, each column read as a functional.
         """
         section = dual = (1 << self.n) - 1
-        for row in rows:
-            section &= self.mask(row)
+        for row in rows:   # as bytes, the memo's key, like the columns
+            section &= self.mask(bytes(row))
         for i, col in enumerate(self.columns):
             if section >> i & 1:
                 dual &= self.mask(col)

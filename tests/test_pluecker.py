@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import random
@@ -15,7 +16,9 @@ from schubert_unions.grassgrid import (
     gaussian_binomial,
     grand_total,
 )
+from schubert_unions import pluecker
 from schubert_unions.pluecker import (
+    _Lanes,
     cell_matrices,
     enumerate_points,
     free_positions,
@@ -157,6 +160,58 @@ def test_enumerate_points_every_union(l, q):
 def test_enumerate_points_default_modulus_fields(q):
     # 70,161 / 407,526 / 552,610 points
     assert_reference_stream(Field(q), GrassParams(2, 4))
+
+
+# one field per lane layout not covered above: one-byte lanes of 3-bit and
+# 4-bit slots (7, 49); p = 2 with e = 7 (128); two-byte lanes of several
+# slots (81, 121, 125, 169, 243); one 9-bit slot (251)
+@pytest.mark.parametrize("q", [7, 49, 81, 121, 125, 128, 169, 243, 251])
+def test_enumerate_points_every_lane_layout(q):
+    assert_reference_stream(Field(q), GrassParams(2, 3))
+
+
+# GF(8) with x^3 + x^2 + 1 and GF(9) with x^2 + 2x + 2; on G(3,5) a union
+# with free entries in every row keeps the reference check to 15K points
+@pytest.mark.parametrize("q,modulus", [(8, (1, 0, 1, 1)), (9, (2, 2, 1))])
+def test_enumerate_points_other_moduli(q, modulus):
+    field = Field(q, modulus)
+    assert field.modulus == modulus
+    assert_reference_stream(field, GrassParams(2, 4))
+    params = GrassParams(3, 5)
+    assert_reference_stream(field, params, SchubertUnion(params, [(1, 4, 5), (2, 3, 5)]))
+
+
+# G(1,12) over F_2 cuts each large row at the default bound; the small
+# bounds put one parent in a group and cut rows into blocks of blocks
+@pytest.mark.parametrize("bound", [1, 24, 200, pluecker._BLOCK_LANES])
+@pytest.mark.parametrize("l,m,q", [(1, 6, 2), (1, 12, 2), (2, 5, 3), (3, 6, 2),
+                                   (2, 4, 4), (2, 3, 27)])
+def test_stream_does_not_depend_on_the_block_bound(monkeypatch, bound, l, m, q):
+    monkeypatch.setattr(pluecker, "_BLOCK_LANES", bound)
+    assert_reference_stream(Field(q), GrassParams(l, m))
+
+
+LANE_FIELDS = (2, 4, 3, 9, 27, 125, 251, 256)
+
+
+@functools.lru_cache(maxsize=None)
+def field_lanes(q):
+    field = Field(q)
+    return field, _Lanes(field)
+
+
+def lane_sum(lanes, a, b):
+    """a + b entry by entry through the packed lanes, decoded."""
+    pack = [int.from_bytes(lanes.encode(bytes(v)), "little") for v in (a, b)]
+    return lanes.decode(lanes.add(*pack, lanes.consts(len(a))), len(a))
+
+
+@pytest.mark.parametrize("q", LANE_FIELDS)
+def test_lane_addition_of_the_top_digits(q):
+    # q - 1 has every base-p digit p - 1, so each slot reaches 2p - 2
+    field, lanes = field_lanes(q)
+    top = [q - 1] * 33
+    assert lane_sum(lanes, top, top) == bytes([field.add(q - 1, q - 1)]) * 33
 
 
 @pytest.mark.parametrize("l,m,q", [(2, 5, 8), (2, 5, 9), (3, 5, 8), (3, 5, 9)])

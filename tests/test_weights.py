@@ -573,3 +573,25 @@ def test_subideals_match_below_table():
         u = SchubertUnion(GrassParams(l, m), maxima)
         got = list(weights.enumerate_subideals(u))
         assert got == list(below_table_down_sets(sorted(u.ideal()))), u
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_mask_memo_keeps_one_entry_per_functional(monkeypatch, q):
+    # experiment Q4 asks for witness rows as int tuples and columns as bytes
+    from schubert_unions import cli, pluecker
+
+    seen = []
+    mask = _MaskCache.mask
+
+    def spy(self, row):
+        seen.append((self, bytes(row)))
+        return mask(self, row)
+
+    monkeypatch.setattr(_MaskCache, "mask", spy)
+    cli.experiment_q4(GrassParams(2, 4), q, weights.DEFAULT_ORACLE_BUDGET,
+                      pluecker.DEFAULT_POINT_GUARD)
+    caches = {id(cache): cache for cache, _row in seen}
+    assert len(caches) == 1
+    (cache,) = caches.values()
+    assert len(cache.cache) == len({row for _cache, row in seen})
+    assert all(type(key) is bytes for key in cache.cache)
