@@ -274,8 +274,7 @@ def experiment_q4(params, q, budget, point_guard):
     k = genmat.k
     found = {r: _max_annihilated_with_witness(field, genmat, r) for r in range(1, k)}
     # the full code's columns are the Pluecker vectors of all points
-    sections = weights._MaskCache(field, genmat.columns, k)
-    results = [(r, best, sections.dual_section(rows), found[k - r][0])
+    results = [(r, best, genmat.oracle.dual_section(rows), found[k - r][0])
                for r, (best, rows) in found.items()]
     ok = all(dc == target for _r, _h, dc, target in results)
     return ("affirmative (for the sections found)" if ok else "negative"), results
@@ -283,7 +282,7 @@ def experiment_q4(params, q, budget, point_guard):
 
 def _max_annihilated_with_witness(field, genmat, r):
     """(H_r, a maximizing basis of functionals) for the full code's matrix."""
-    return weights._max_annihilated(field, genmat.columns, genmat.k, r)
+    return genmat.oracle.sweep(r)
 
 
 def cmd_experiment(args, out):

@@ -1,9 +1,10 @@
 """Grid duality of Schubert unions.
 
 The dual of U is the union whose ideal is rev(H_U), where rev is the
-order-reversing involution of the grid.  Spanning dimensions of U and its
-dual add up to binomial(m,l), and the dual point count is the reciprocal
-polynomial q^delta * h_U(1/q).
+order-reversing involution of the grid, so its maxima are the rev images of
+the minimal points of H_U.  Spanning dimensions of U and its dual add up to
+binomial(m,l), and the dual point count is the reciprocal polynomial
+q^delta * h_U(1/q).
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from .grassgrid import (
     Poly,
     SchubertUnion,
     canonicalize,
+    down_closure,
     grand_total,
+    lower_covers,
 )
 
 
@@ -28,10 +31,11 @@ def rev(params, alpha):
 
 
 def dual_union(union: SchubertUnion) -> SchubertUnion:
-    """Dual union: its ideal is the rev image of H_U."""
-    params = union.params
-    pts = {rev(params, beta) for beta in union.h_ideal()}
-    return canonicalize(params, pts)
+    """Dual union, from its maxima: the rev images of H_U's minimal points."""
+    h = union.h_ideal()
+    tops = sorted(rev(union.params, beta) for beta in h
+                  if h.isdisjoint(lower_covers(beta)))
+    return SchubertUnion._build(union.params, tuple(tops), None, None)
 
 
 def dual_union_explicit(union: SchubertUnion) -> SchubertUnion:
@@ -48,8 +52,6 @@ def dual_union_explicit(union: SchubertUnion) -> SchubertUnion:
     l, m = params.l, params.m
     mx = union.maxima
     s = len(mx)
-    if s == 0:
-        return SchubertUnion.full(params)
     cycles = set()
     for assign in itertools.product(range(1, l + 1), repeat=s):
         f = [0] * (l + 1)
@@ -65,10 +67,7 @@ def dual_union_explicit(union: SchubertUnion) -> SchubertUnion:
                 break
         if not dead:
             cycles.add(tuple(f[1:]))
-    pts = set()
-    for c in cycles:
-        pts |= SchubertUnion.cycle(params, c).ideal()
-    return canonicalize(params, pts)
+    return canonicalize(params, down_closure(cycles))
 
 
 def dual_point_count(union: SchubertUnion) -> Poly:

@@ -36,12 +36,13 @@ single-matrix reference the tests hold this walk to.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import struct
 from dataclasses import dataclass
 
-from . import gf
+from . import gf, weights
 from .grassgrid import (
     SchubertUnion,
     TooLarge,
@@ -367,6 +368,11 @@ class GeneratorMatrix:
 
     def rank(self) -> int:
         return gf.rank(self.field, self.entries())
+
+    @functools.cached_property
+    def oracle(self):
+        """The weight oracle's state (weights._MaskCache), built on first use."""
+        return weights._MaskCache(self.field, self.columns, self.k)
 
 
 def generator_matrix(field, params, union=None, guard=DEFAULT_POINT_GUARD):

@@ -16,8 +16,9 @@ and kept for its pivot set only.  The sweep ends at the first leaf that
 reaches a proven ceiling, the smaller of a projective cap (the killed
 columns lie in a (k-r)-dimensional annihilator) and a generalized Griesmer
 cap (d_r >= sum of ceil(d_1/q^i), i < r), so its best count and witness are
-those of the full sweep.  One _MaskCache per matrix holds the masks, the
-projective classes and d_1; experiment Q4's sections come from its masks.
+those of the full sweep.  A generator matrix holds one _MaskCache, built on
+first use, which sweeps each r at most once: d_1 is read from its r = 1
+sweep, and experiment Q4's sections come from its masks.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ def _value_tables(field, rows, n):
 
 
 class _MaskCache:
-    """The oracle's state for one matrix: zero-set masks, caps and d_1.
+    """The oracle's state for one matrix: zero-set masks, caps and sweeps.
 
     A functional h is coded as the integer sum_j h_j q^j.  With the k
     coordinates split at s = k // 2, code % q^s and code // q^s index the
@@ -213,7 +214,8 @@ class _MaskCache:
     entries (hi stored at -v; the q masks of lo[h] are disjoint, so their
     sum is their OR).  The columns are bytes, as GeneratorMatrix holds them:
     the value tables read the rows as strided slices of their join, and the
-    projective classes strip the columns as they are.
+    projective classes strip the columns as they are.  `sweep` keeps each
+    r's (best, witness), which its callers share and do not mutate.
     """
 
     def __init__(self, field, columns, k):
@@ -237,7 +239,7 @@ class _MaskCache:
         points = collections.Counter(map(bytes.translate, tails,
                                          map(scale.__getitem__, map(itemgetter(0), tails))))
         self.classes = sorted(points.values(), reverse=True)
-        self.d1 = None
+        self.swept = {}
 
     def mask(self, row):
         """Zero-set mask of a row of field elements, memoized by the row as
@@ -252,6 +254,12 @@ class _MaskCache:
             got = self.cache[row] = sum(map(and_, a, b))
         return got
 
+    def sweep(self, r):
+        """(best, witness) of the r-sweep (_sweep), run at most once per r."""
+        if r not in self.swept:
+            self.swept[r] = _sweep(self, r)
+        return self.swept[r]
+
     def ceiling(self, r, first):
         """A proven bound on the columns an r-dimensional space can kill.
 
@@ -259,17 +267,16 @@ class _MaskCache:
         (k-r)-dimensional space with theta = (q^(k-r) - 1)/(q - 1) points,
         so at most the zero columns and the theta largest classes.  Griesmer
         cap: an r-dimensional subcode punctured to its support is a
-        [d_r, r, >= d_1] code, so d_r >= griesmer_lower(d_1, r, q).  d_1
-        costs one r = 1 sweep, run only when the first leaf misses the
-        projective cap, and at most once per object.
+        [d_r, r, >= d_1] code, so d_r >= griesmer_lower(d_1, r, q).  d_1 is
+        read from the r = 1 sweep, run only when the first leaf misses the
+        projective cap and shared with any r = 1 request.
         """
         q = self.field.q
         cap = self.zeros + sum(self.classes[:(q ** (self.k - r) - 1) // (q - 1)])
         if r == 1 or first == cap:
             return cap
-        if self.d1 is None:
-            self.d1 = self.n - _sweep(self, 1)[0]
-        return min(cap, self.n - griesmer_lower(self.d1, r, q))
+        d1 = self.n - self.sweep(1)[0]
+        return min(cap, self.n - griesmer_lower(d1, r, q))
 
     def dual_section(self, rows):
         """How many columns the section cut out by rows annihilates.
@@ -318,7 +325,10 @@ def _level(cache, pivots, i):
 
 
 def _sweep(cache, r):
-    """(best, witness) of the r-sweep; stops at the first leaf whose count
+    """(best, witness): the most columns killed by an r-dimensional space of
+    functionals and the reduced echelon basis of the first such space in
+    sweep order; a partial intersection that cannot beat the best count
+    prunes its branch, and the sweep stops at the first leaf whose count
     reaches cache.ceiling(r, its count), a proven bound on every count.
 
     Level 0 is read once per pivot set, so it is streamed; a deeper level
@@ -362,23 +372,6 @@ def _sweep(cache, r):
     return best, witness
 
 
-def _max_annihilated(field, columns, k, r):
-    """(best, witness): the most columns killed by an r-dimensional space of
-    functionals, 1 <= r <= k, and the reduced echelon basis of the first
-    such space in sweep order.
-
-    Subspaces are enumerated once each through their reduced echelon basis;
-    a partial intersection that cannot beat the best count prunes its branch.
-    The sweep ends at the first leaf that reaches _MaskCache.ceiling.
-    """
-    if r == k:
-        # the whole dual space kills only zero columns; the value tables
-        # would cost q^(k/2) masks for this one-subspace sweep
-        identity = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-        return sum(1 for col in columns if not any(col)), identity
-    return _sweep(_MaskCache(field, columns, k), r)
-
-
 def check_oracle_budget(k, q, rs, budget):
     """Raise BudgetExceeded unless every r-sweep of GF(q)^k fits the budget."""
     for r in rs:
@@ -389,13 +382,16 @@ def check_oracle_budget(k, q, rs, budget):
 
 
 def oracle_dr(field, genmat, r, budget=DEFAULT_ORACLE_BUDGET) -> int:
-    """Exact d_r of the code with the given generator matrix, by exhaustion."""
+    """Exact d_r of the code with the given generator matrix, by exhaustion
+    on the matrix's oracle state (`GeneratorMatrix.oracle`)."""
     k = genmat.k
     if not 1 <= r <= k:
         raise ValueError(f"r={r} out of range 1..{k}")
     check_oracle_budget(k, field.q, [r], budget)
-    best, _witness = _max_annihilated(field, genmat.columns, k, r)
-    return genmat.n - best
+    if r == k:
+        # one subspace, killing the zero columns: no q^(k/2)-mask value tables
+        return sum(1 for col in genmat.columns if any(col))
+    return genmat.n - genmat.oracle.sweep(r)[0]
 
 
 def min_weight_bruteforce(field, genmat) -> int:

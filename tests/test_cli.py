@@ -374,6 +374,25 @@ def test_weights_oracle_golden(capsys, q, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout of `weights --l 2 --m 5 --q 3 --oracle --r-range 1:4
+# --oracle-budget 10^12 --format F`, recorded when every sweep built its own
+# oracle state; r = 2..4 end only at the Griesmer cap, whose d_1 now comes
+# from the r = 1 sweep that the run shares
+ORACLE_C25_F3_GOLDEN = [
+    ("markdown", "38adb8877811daf9792e26d7a4b304f5c1e908000bc89030444cac731b34cdc2"),
+    ("json", "9d72b82664532574be0855adbcc69e1e875130512b771335b5a90a7fbe58378f"),
+]
+
+
+@pytest.mark.parametrize("fmt,digest", ORACLE_C25_F3_GOLDEN)
+def test_weights_oracle_c25_f3_golden(capsys, fmt, digest):
+    code, out, _ = run_cli(["weights", "--l", "2", "--m", "5", "--q", "3", "--oracle",
+                            "--r-range", "1:4", "--oracle-budget", str(10 ** 12),
+                            "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of stdout of `experiment Q4 --l 2 --m 5 --q 2 --oracle-budget
 # 200000000 --format F`, recorded when every oracle sweep ran to its end;
 # the dual-section counts follow the witness, so the early stop must keep it
@@ -471,7 +490,7 @@ def test_weights_invalid_arguments(capsys, extra):
 def test_budget_checked_before_any_sweep(capsys, monkeypatch, argv):
     def no_sweep(*args):
         raise AssertionError("swept before checking the budget")
-    monkeypatch.setattr(weights, "_max_annihilated", no_sweep)
+    monkeypatch.setattr(weights, "_sweep", no_sweep)
     code, out, err = run_cli(argv, capsys)
     assert code == 3 and out == ""
     assert "budget" in err

@@ -1,3 +1,4 @@
+from schubert_unions import duality
 from schubert_unions.duality import (
     dual_point_count,
     dual_union,
@@ -69,6 +70,20 @@ def test_dual_explicit_agrees_exhaustively():
     for params in [GrassParams(2, m) for m in range(3, 8)] + [GrassParams(3, 6)]:
         for u in enumerate_ideals(params):
             assert dual_union_explicit(u) == dual_union(u)
+
+
+def test_dual_union_reads_the_maxima(monkeypatch):
+    # the maxima come from H_U's minimal points: the dual's point set is
+    # neither rebuilt nor validated nor closed again
+    def no_canonicalize(*args):
+        raise AssertionError("dual_union went through canonicalize")
+    monkeypatch.setattr(duality, "canonicalize", no_canonicalize)
+    for params in (GrassParams(1, 4), GrassParams(2, 5), GrassParams(3, 6)):
+        for u in enumerate_ideals(params):
+            d = dual_union(u)
+            assert d.ideal() == {rev(params, b) for b in u.h_ideal()}
+            assert not any(point_leq(a, b) for a in d.maxima for b in d.maxima if a != b)
+            assert list(d.maxima) == sorted(d.maxima)
 
 
 def test_biduality_and_span_complement():

@@ -179,6 +179,19 @@ def test_bound_table_matches_exhaustive():
             assert fast.row(r).J == slow.row(r).J, (params, r)
 
 
+@pytest.mark.parametrize("l,m", [(1, 6), (2, 5), (2, 6), (2, 7), (2, 8),
+                                 (3, 7), (3, 8), (4, 8)])
+def test_bound_table_transposition_symmetry(l, m):
+    # transposing the partition maps G(l,m) onto G(m-l,m), keeping the order
+    # and the cell dimensions, so J, D and E agree row by row
+    params, dual = GrassParams(l, m), GrassParams(m - l, m)
+    table = bound_table(params, guard=params.k)
+    other = exhaustive_bound_table(dual, guard=dual.k)
+    for r in range(params.k + 1):
+        row, twin = table.row(r), other.row(r)
+        assert (row.J, row.D, row.E) == (twin.J, twin.D, twin.E), r
+
+
 def test_two_cycle_optimality():
     # some lex-maximal union with at most two maxima exists for every K
     for m in range(3, 13):

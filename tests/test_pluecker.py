@@ -260,9 +260,11 @@ def test_generator_matrix_empty_union():
 
 
 def test_rank_equals_span_exhaustive():
-    for q in (2, 3):
+    for q, grids in ((2, [(2, 4), (2, 5), (3, 5), (3, 6), (4, 6)]),
+                     (3, [(2, 4), (2, 5), (3, 5)])):
         field = Field(q)
-        for params in (GrassParams(2, 4), GrassParams(2, 5)):
+        for l, m in grids:
+            params = GrassParams(l, m)
             for u in enumerate_ideals(params):
                 gm = generator_matrix(field, params, u)
                 assert gm.rank() == u.span(), (q, params, u)

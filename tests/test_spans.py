@@ -72,5 +72,9 @@ def test_tracer_hooks_run(capsys):
               tracer.span_parent, tracer.span_job)
     metrics = spans.layer_metrics(tracer.header(wall_traced=1.0, wall_plain=1.0), arrays)
     assert metrics["weights.oracle_dr.calls"] == 2
+    # Q4 reads each r = 1..5 of C(2,4) through the traced adapter, whose
+    # total_s the benchmark reports
+    adapter = tracer.names.index("cli._max_annihilated_with_witness")
+    assert tracer.span_name.count(adapter) == 5
     assert 0 < metrics["weights._MaskCache.mask.hit_ratio"] < 1
     assert metrics["grassgrid.SchubertUnion.ideal.calls"] > 0

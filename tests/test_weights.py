@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from schubert_unions import weights
+from schubert_unions import cli, weights
 from schubert_unions.gf import Field, row_reduce
 from schubert_unions.grassgrid import (
     GrassParams,
@@ -317,7 +317,7 @@ def test_d1_sweep_only_when_needed(monkeypatch, r, sweeps):
     calls = _counted_sweeps(monkeypatch)
     f2 = Field(2)
     gm = generator_matrix(f2, GrassParams(2, 5))
-    weights._max_annihilated(f2, gm.columns, gm.k, r)
+    _MaskCache(f2, gm.columns, gm.k).sweep(r)
     assert calls == sweeps
 
 
@@ -327,9 +327,50 @@ def test_d1_swept_once_per_cache(monkeypatch):
     gm = generator_matrix(f2, GrassParams(2, 5))
     cache = _MaskCache(f2, gm.columns, gm.k)
     assert weights._sweep(cache, 4)[0] == gm.n - 120
-    assert cache.d1 == 64
+    assert gm.n - cache.sweep(1)[0] == 64
     assert weights._sweep(cache, 3)[0] == gm.n - 112
     assert calls == [4, 1, 3]
+
+
+def _counted_tables(monkeypatch):
+    """One entry per weights._value_tables call; an oracle state makes two."""
+    calls = []
+    value_tables = weights._value_tables
+
+    def counted(*args):
+        calls.append(1)
+        return value_tables(*args)
+
+    monkeypatch.setattr(weights, "_value_tables", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv,sweeps", [
+    # r = 2 misses the projective cap: its d_1 sweep serves the later r
+    (["weights", "--l", "2", "--m", "5", "--q", "3", "--oracle", "--r-range", "2:4",
+      "--oracle-budget", str(10 ** 12)], [2, 1, 3, 4]),
+    # the witnesses and the dual sections come from one state
+    (["experiment", "Q4", "--l", "2", "--m", "4", "--q", "3"], [1, 2, 3, 4, 5]),
+])
+def test_one_oracle_state_per_matrix(capsys, monkeypatch, argv, sweeps):
+    calls = _counted_sweeps(monkeypatch)
+    tables = _counted_tables(monkeypatch)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == sweeps
+    assert len(tables) == 2
+
+
+def test_oracle_dr_shares_the_matrix_state(monkeypatch):
+    calls = _counted_sweeps(monkeypatch)
+    tables = _counted_tables(monkeypatch)
+    f2 = Field(2)
+    gm = generator_matrix(f2, GrassParams(2, 5))
+    assert oracle_dr(f2, gm, 4, budget=10 ** 8) == 120
+    assert oracle_dr(f2, gm, 1) == 64
+    assert oracle_dr(f2, gm, 4, budget=10 ** 8) == 120
+    assert calls == [4, 1]
+    assert len(tables) == 2
 
 
 def test_dual_section_matches_dot_scan():
@@ -339,7 +380,7 @@ def test_dual_section_matches_dot_scan():
     gm = generator_matrix(f3, GrassParams(2, 4))
     cache = _MaskCache(f3, gm.columns, gm.k)
     for r in range(1, gm.k):
-        _best, rows = weights._max_annihilated(f3, gm.columns, gm.k, r)
+        _best, rows = cache.sweep(r)
         section = [c for c in gm.columns if all(f3.dot(f, c) == 0 for f in rows)]
         basis = [b for b in row_reduce(f3, section)[0] if any(b)]
         expected = sum(1 for c in gm.columns if all(f3.dot(c, b) == 0 for b in basis))
@@ -393,7 +434,7 @@ def test_capped_sweep_matches_uncapped(lm, q, r):
     # same best count and same witness: the caps only cut the proof short
     field = Field(q)
     gm = generator_matrix(field, GrassParams(*lm))
-    assert (weights._max_annihilated(field, gm.columns, gm.k, r)
+    assert (_MaskCache(field, gm.columns, gm.k).sweep(r)
             == _uncapped_max_annihilated(field, gm.columns, gm.k, r))
 
 

@@ -8,7 +8,7 @@ import pytest
 from schubert_unions.gf import Field, rank
 from schubert_unions.grassgrid import GrassParams, enumerate_ideals
 from schubert_unions.pluecker import generator_matrix
-from schubert_unions.weights import _max_annihilated, min_weight_bruteforce, oracle_dr
+from schubert_unions.weights import _MaskCache, min_weight_bruteforce, oracle_dr
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -86,5 +86,5 @@ def test_max_annihilated_matches_message_tuples(case):
     for r in range(1, k + 1):
         if q ** (k * r) > 4096:
             break
-        assert (_max_annihilated(field, columns, k, r)[0]
+        assert (_MaskCache(field, columns, k).sweep(r)[0]
                 == _brute_max_annihilated(field, columns, k, r)), r
