@@ -21,7 +21,6 @@ from .grassgrid import (
     Poly,
     SchubertUnion,
     TooLarge,
-    enumerate_ideals,
 )
 from .twodim import NotTwoDim
 from .weights import BudgetExceeded
@@ -67,20 +66,22 @@ def _mset_str(ms):
 
 def cmd_enumerate(args, out):
     params = GrassParams(args.l, args.m)
-    rows = []
-    for u in enumerate_ideals(params, args.guard):
-        g = u.point_count()
-        rows.append((u, u.span(), u.krull(), g))
-    rows.sort(key=lambda r: (r[1], r[3].lex_key(), r[0].maxima))
-    # the last row of each span holds its largest g
-    best = {span: g for _u, span, _k, g in rows}
+    grid, groups = optimizer.union_table(params, args.guard)
+    texts = ["(" + ",".join(map(str, a)) + ")" for a in grid]
+    table = []
+    for span, g, maximal, group in groups:
+        # one text per g_U; JSON writes the Poly as its coefficient list
+        points = g if args.format == "json" else str(g)
+        for maxima in group:
+            # the largest cell dimension sits at a maximum: Krull is deg g_U
+            row = [" ∪ ".join([texts[i] for i in maxima]) or "∅", span, g.degree,
+                   points, "Yes" if maximal else "No"]
+            if params.l == 2:
+                u = SchubertUnion._build(params, tuple(grid[i] for i in maxima), None, g)
+                row.insert(3, _mset_str(twodim.union_to_mset(u)))
+            table.append(row)
     headers = ["U", "Span", "Krull", "M_U", "Points", "Maximal"] if params.l == 2 \
         else ["U", "Span", "Krull", "Points", "Maximal"]
-    table = []
-    for u, span, kr, g in rows:
-        maximal = "Yes" if g == best[span] else "No"
-        m_u = (_mset_str(twodim.union_to_mset(u)),) if params.l == 2 else ()
-        table.append((u.label(), span, kr, *m_u, g, maximal))
     _emit_table(headers, table, args.format, out)
     return 0
 
@@ -89,13 +90,15 @@ def cmd_dual(args, out):
     params = GrassParams(args.l, args.m)
     u = _parse_union(params, args.union)
     dual = duality.dual_union(u)
+    # the spans of a union and its dual add up to k: no point set for the dual
+    span = u.span()
     if args.format == "json":
         out.write(json.dumps({"l": params.l, "m": params.m, "maxima": u.maxima,
-                              "dual_maxima": dual.maxima, "span_primal": u.span(),
-                              "span_dual": dual.span()}) + "\n")
+                              "dual_maxima": dual.maxima, "span_primal": span,
+                              "span_dual": params.k - span}) + "\n")
     else:
         rows = [(u.label(), dual.label(), duality.dual_union_explicit(u).label(),
-                 u.span(), dual.span())]
+                 span, params.k - span)]
         _emit_table(["U", "Dual", "Dual (explicit)", "Span", "Dual span"],
                     rows, args.format, out)
     return 0
@@ -249,13 +252,9 @@ def experiment_q3(params):
 
 def experiment_q8(params, guard):
     best = optimizer.optimal_unions(params, guard)
-    witnesses = []
-    for K in sorted(best):
-        for u in best[K][1]:
-            d = duality.dual_union(u)
-            if d not in best[d.span()][1]:
-                witnesses.append(K)
-                break
+    # the dual of a union of span K has span k - K: its point set is not built
+    witnesses = [K for K in sorted(best)
+                 if any(duality.dual_union(u) not in best[params.k - K][1] for u in best[K][1])]
     if not witnesses:
         return "affirmative", []
     return f"negative (witness K={witnesses[0]})", witnesses

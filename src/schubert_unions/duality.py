@@ -55,17 +55,13 @@ def dual_union_explicit(union: SchubertUnion) -> SchubertUnion:
     cycles = set()
     for assign in itertools.product(range(1, l + 1), repeat=s):
         f = [0] * (l + 1)
-        dead = False
         for j in range(l, 0, -1):
             block = l + 1 - j
-            coord = l + 1 - j
-            top = max([0] + [mx[i][coord - 1] for i in range(s) if assign[i] == block])
-            raw = m - top
+            raw = m - max([0] + [mx[i][block - 1] for i in range(s) if assign[i] == block])
             f[j] = raw if j == l else min(f[j + 1] - 1, raw)
             if f[j] < j:
-                dead = True
                 break
-        if not dead:
+        else:
             cycles.add(tuple(f[1:]))
     return canonicalize(params, down_closure(cycles))
 

@@ -9,6 +9,7 @@ points.  Counting cells by dimension gives the point-count polynomial g_U(q).
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import json
 import re
@@ -60,6 +61,7 @@ class GrassParams:
 _TERM_RE = re.compile(r"^([+-]?)(\d*)(q(?:\^(\d+))?)?$")
 
 
+@functools.total_ordering
 class Poly:
     """Univariate integer polynomial in q, coefficients stored lowest first."""
 
@@ -89,19 +91,15 @@ class Poly:
         s = text.replace(" ", "")
         if s in ("0", ""):
             return cls()
-        terms = {}
+        terms = collections.Counter()
         for piece in re.findall(r"[+-]?[^+-]+", s):
             m = _TERM_RE.match(piece)
             if not m:
                 raise ValueError(f"cannot parse term {piece!r} of {text!r}")
             sign, digits, qpart, exp = m.groups()
-            coeff = int(digits) if digits else 1
-            if sign == "-":
-                coeff = -coeff
             e = 0 if qpart is None else (1 if exp is None else int(exp))
-            terms[e] = terms.get(e, 0) + coeff
-        deg = max(terms)
-        return cls(tuple(terms.get(i, 0) for i in range(deg + 1)))
+            terms[e] += int(sign + (digits or "1"))
+        return cls(terms[e] for e in range(max(terms) + 1))
 
     @property
     def degree(self) -> int:
@@ -149,39 +147,24 @@ class Poly:
     def __lt__(self, other):
         return self.lex_key() < other.lex_key()
 
-    def __le__(self, other):
-        return self.lex_key() <= other.lex_key()
-
-    def __gt__(self, other):
-        return self.lex_key() > other.lex_key()
-
-    def __ge__(self, other):
-        return self.lex_key() >= other.lex_key()
-
     def to_list(self):
         """Coefficient list, lowest degree first (the JSON wire format)."""
         return list(self.coeffs)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in range(self.degree, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
+        terms = []
+        for e, c in enumerate(self.coeffs):
+            if not c:
                 continue
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            elif e == 1:
-                body = "q" if mag == 1 else f"{mag}q"
+            if e > 1:
+                terms.append(f"+{c}q^{e}" if c > 1 else f"+q^{e}" if c == 1
+                             else f"-q^{e}" if c == -1 else f"{c}q^{e}")
+            elif e:
+                terms.append(f"+{c}q" if c > 1 else "+q" if c == 1
+                             else "-q" if c == -1 else f"{c}q")
             else:
-                body = f"q^{e}" if mag == 1 else f"{mag}q^{e}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+" if c > 0 else "-") + body)
-        return "".join(parts)
+                terms.append(f"+{c}" if c > 0 else str(c))
+        return "".join(reversed(terms)).removeprefix("+") or "0"
 
     def __repr__(self):
         return f"Poly({str(self)!r})"
@@ -341,9 +324,7 @@ class SchubertUnion:
         return max((cell_dimension(a, self.params.l) for a in self.maxima), default=-1)
 
     def label(self) -> str:
-        if not self.maxima:
-            return "∅"
-        return " ∪ ".join("(" + ",".join(map(str, a)) + ")" for a in self.maxima)
+        return " ∪ ".join("(" + ",".join(map(str, a)) + ")" for a in self.maxima) or "∅"
 
     def to_json(self) -> str:
         return json.dumps(
@@ -428,9 +409,13 @@ def _decode(code, base) -> Poly:
 
 
 def _picked(points, mask):
-    """The points at the set bits of `mask`, in the order of `points`."""
-    # bin() gives '0b' and the bits highest first; [:1:-1] reverses past it
-    return itertools.compress(points, map("1".__eq__, bin(mask)[:1:-1]))
+    """The points at the set bits of `mask`, in order; one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(points[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def down_sets(points):
@@ -441,7 +426,7 @@ def down_sets(points):
     one it added, and the frozenset: O(len(points)) steps per set.
     """
     for _nxt, ideal, _maxima, _g in _walk(points):
-        yield frozenset({*_picked(points, ideal)})
+        yield frozenset(_picked(points, ideal))
 
 
 def _guarded_grid(params, guard):

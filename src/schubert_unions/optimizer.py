@@ -10,6 +10,8 @@ C(d) <= K for an explicit piecewise quadratic C.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 from .grassgrid import (
@@ -191,6 +193,27 @@ def optimal_unions(params, guard=DEFAULT_IDEAL_GUARD):
         out[K] = (poly, {SchubertUnion._build(params, tuple(_picked(grid, mask)), None, poly)
                          for mask in masks})
     return out
+
+
+def union_table(params, guard=DEFAULT_IDEAL_GUARD):
+    """The grid, and every order ideal in table order, grouped by g_U.
+
+    A group is (span, g_U, whether g_U is its span's largest, the maxima of
+    its ideals as grid indices).  Ideals sort by span, g_U and maxima, all as
+    integers (codes as in `grassgrid._walk`); g_U(1) is the span, so ideals
+    with equal codes are adjacent and one Poly is decoded per group.
+    """
+    grid = _guarded_grid(params, guard)
+    base = len(grid) + 1
+    indices = range(len(grid))
+    rows = sorted([(ideal.bit_count(), g, _picked(indices, maxima))
+                   for _nxt, ideal, maxima, g in _walk(grid)])
+    runs = [(K, g, [maxima for _K, _g, maxima in run])
+            for (K, g), run in itertools.groupby(rows, key=operator.itemgetter(0, 1))]
+    best = [0] * base
+    for K, g, _run in runs:
+        best[K] = g
+    return grid, [(K, _decode(g, base), g == best[K], run) for K, g, run in runs]
 
 
 def exhaustive_bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from schubert_unions import cli, duality, gf, pluecker, weights
+from schubert_unions import cli, duality, gf, grassgrid, optimizer, pluecker, twodim, weights
 from schubert_unions.cli import FORMATS, main
+from schubert_unions.grassgrid import GrassParams, SchubertUnion, enumerate_ideals
 
 from table_fixtures import DIRECTIONS
 
@@ -625,6 +626,23 @@ CLI_GOLDEN = {
         "b2c783ab0df722d6ea61cc650bd54817bd7c600c984a47fb6730f5b4ae88ffa1",
         "45b53437cf9a2f6918196b76ea2bbd96ca7738046cd952d15e610ef4cd6d7ed9",
     ),
+    # recorded while each enumerate row was a union sorted on Poly.lex_key():
+    # l = 1, l = 4, and spans with many tied codes
+    "enumerate --l 3 --m 7 --guard 35": (
+        "f27083d2212b847a53bb2dd523eef5f6c5a45c4de0620f266b8c0f1afd6e821f",
+        "5e5c46697948e104fadb71e269fd09644a125660587484b6cfb74e45b00d0a58",
+        "9f2a1fccb0a3487b98a2affaeada37afb84135c3176fd86b42f858ea3e00fb5a",
+    ),
+    "enumerate --l 4 --m 8 --guard 70": (
+        "e3ae7b9f7a0ffb7f47a01d670300f4b98a3b1703bea19ce1b6e211a788d06593",
+        "dbc6c6967e8d4d901f26b6bc6dc818b5a12a5624b44715cf5ad949c6eacf51c0",
+        "546f08632355e54756f5c6910de166bacf661fb36ad4dcb0ce8cc5c9f9d777f5",
+    ),
+    "enumerate --l 1 --m 6": (
+        "a31cb913f116b8f8ba0156322135251d694901a95f7a0a2b6819d064ed88203f",
+        "8c638dfeeb6be6bf6c9badca0e66bf4e8761b076764c8c14d0790adaefbc5cd8",
+        "6a455e40bb5cbe170dc1a05c1620644b8a288c609e9347fbac3e340ef0d8bd18",
+    ),
 }
 
 
@@ -673,6 +691,64 @@ def test_weights_guard_before_grand_total(capsys, monkeypatch):
     monkeypatch.delenv("SCHUBERT_UNIONS_GUARD", raising=False)
     assert run_cli(["weights", "--l", "3", "--m", "300"], capsys) == \
         (3, "", "error: grid has 4455100 points, guard is 28\n")
+
+
+def reference_enumerate(params, fmt):
+    """The enumerate table from each union's own methods, sorted on Poly keys."""
+    # rebuilt from the maxima, so span and g_U count the closed point set
+    unions = [SchubertUnion(params, u.maxima) for u in enumerate_ideals(params, params.k)]
+    unions.sort(key=lambda u: (u.span(), u.point_count().lex_key(), u.maxima))
+    best = {u.span(): u.point_count() for u in unions}
+    rows = []
+    for u in unions:
+        g = u.point_count()
+        m_u = (cli._mset_str(twodim.union_to_mset(u)),) if params.l == 2 else ()
+        rows.append((u.label(), u.span(), u.krull(), *m_u, g,
+                     "Yes" if g == best[u.span()] else "No"))
+    headers = ["U", "Span", "Krull", "M_U", "Points", "Maximal"] if params.l == 2 \
+        else ["U", "Span", "Krull", "Points", "Maximal"]
+    out = io.StringIO()
+    cli._emit_table(headers, rows, fmt, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_enumerate_matches_reference_table(capsys, fmt):
+    grids = [GrassParams(l, m) for m in range(2, 36) for l in range(1, m)
+             if GrassParams(l, m).k <= 35]
+    for params in grids:
+        argv = ["enumerate", "--l", str(params.l), "--m", str(params.m),
+                "--guard", "35", "--format", fmt]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out == reference_enumerate(params, fmt), params
+
+
+def test_dual_json_closes_one_ideal(capsys, monkeypatch):
+    # the dual's span is read off U's, as binomial(m, l) - span(U)
+    calls = []
+    closure = grassgrid.down_closure
+    counted = lambda points: calls.append(1) or closure(points)  # noqa: E731
+    monkeypatch.setattr(grassgrid, "down_closure", counted)
+    monkeypatch.setattr(duality, "down_closure", counted)
+    code, out, _ = run_cli(["dual", "--l", "3", "--m", "7", "--union", "[[1,5,6],[2,4,7]]",
+                            "--format", "json"], capsys)
+    data = json.loads(out)
+    assert code == 0 and len(calls) <= 1
+    assert (data["span_primal"], data["span_dual"]) == (20, 15)
+
+
+def test_experiment_q8_closes_no_dual(capsys, monkeypatch):
+    # each maximal union's ideal is closed once, for its dual's maxima; the
+    # dual's span is read as k - K
+    params = GrassParams(2, 8)
+    unions = sum(len(us) for _g, us in optimizer.optimal_unions(params).values())
+    calls = []
+    closure = grassgrid.down_closure
+    monkeypatch.setattr(grassgrid, "down_closure",
+                        lambda points: calls.append(1) or closure(points))
+    code, out, _ = run_cli(["experiment", "Q8", "--l", "2", "--m", "8"], capsys)
+    assert (code, out) == (0, "Q8 for (2,8): affirmative\n")
+    assert len(calls) == unions
 
 
 def test_dual_json_skips_explicit_dual(capsys, monkeypatch):

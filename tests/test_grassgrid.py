@@ -439,6 +439,22 @@ def test_walk_codes_decode_to_cell_counts(params):
         assert _decode(g, base)(1) == ideal.bit_count() == len(pts), pts
 
 
+@pytest.mark.parametrize("params", [GrassParams(2, m) for m in range(4, 9)]
+                         + [GrassParams(3, 6), GrassParams(3, 7)], ids=repr)
+def test_walk_code_gives_span_and_krull(params):
+    # the enumerate table reads the span as g_U(1) and Krull as deg g_U, and
+    # the maxima as grid indices
+    grid = full_grid(params)
+    base = len(grid) + 1
+    for _nxt, ideal, maxima, g in _walk(grid):
+        poly = _decode(g, base)
+        indices = _picked(range(len(grid)), maxima)
+        assert indices == [i for i in range(len(grid)) if maxima >> i & 1]
+        assert poly(1) == ideal.bit_count()
+        assert poly.degree == max((cell_dimension(grid[i], params.l) for i in indices),
+                                  default=-1)
+
+
 def test_decode_order_is_lex_order():
     # a code's integer order is Poly's order while every coefficient is below the base
     rng = random.Random(21)
