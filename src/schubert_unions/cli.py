@@ -60,8 +60,8 @@ def _parse_union(params, text) -> SchubertUnion:
     return SchubertUnion(params, tuple(tuple(a) for a in maxima))
 
 
-def _mset_str(ms):
-    return "{" + ",".join(map(str, ms.elements)) + "}" if ms.elements else "∅"
+def _mset_str(elements):
+    return "{" + ",".join(map(str, elements)) + "}" if elements else "∅"
 
 
 def cmd_enumerate(args, out):
@@ -77,8 +77,7 @@ def cmd_enumerate(args, out):
             row = [" ∪ ".join([texts[i] for i in maxima]) or "∅", span, g.degree,
                    points, "Yes" if maximal else "No"]
             if params.l == 2:
-                u = SchubertUnion._build(params, tuple(grid[i] for i in maxima), None, g)
-                row.insert(3, _mset_str(twodim.union_to_mset(u)))
+                row.insert(3, _mset_str(twodim.column_heights([grid[i] for i in maxima])))
             table.append(row)
     headers = ["U", "Span", "Krull", "M_U", "Points", "Maximal"] if params.l == 2 \
         else ["U", "Span", "Krull", "Points", "Maximal"]
@@ -110,10 +109,10 @@ def cmd_encode(args, out):
     ms = twodim.union_to_mset(u)
     dual = duality.dual_union(u)
     rows = [
-        ("M_U", _mset_str(ms)),
+        ("M_U", _mset_str(ms.elements)),
         ("sigma_U", "<".join(map(str, twodim.union_to_sigma(u).seq()))
          if u.maxima else "-"),
-        ("M_dual", _mset_str(twodim.mset_complement(ms))),
+        ("M_dual", _mset_str(twodim.mset_complement(ms).elements)),
         ("sigma_dual", "<".join(map(str, twodim.union_to_sigma(dual).seq()))
          if dual.maxima else "-"),
         ("dual", dual.label()),

@@ -36,6 +36,10 @@ def count_text(n):
         return f"at least 2^{n.bit_length() - 1}"
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class GrassParams:
     """Parameters (l, m) of the Grassmannian of l-planes in m-space."""
@@ -44,8 +48,8 @@ class GrassParams:
     m: int
 
     def __post_init__(self):
-        if not (1 <= self.l < self.m):
-            raise ValueError(f"need 1 <= l < m, got l={self.l}, m={self.m}")
+        if not (_is_int(self.l) and _is_int(self.m) and 1 <= self.l < self.m):
+            raise ValueError(f"need integers 1 <= l < m, got l={self.l!r}, m={self.m!r}")
 
     @property
     def k(self) -> int:
@@ -58,7 +62,8 @@ class GrassParams:
         return self.l * (self.m - self.l)
 
 
-_TERM_RE = re.compile(r"^([+-]?)(\d*)(q(?:\^(\d+))?)?$")
+# a sign, then at least one of a coefficient and a power of q
+_TERM_RE = re.compile(r"^([+-]?)(?=[\dq])(\d*)(q(?:\^(\d+))?)?$")
 
 
 @functools.total_ordering
@@ -87,12 +92,12 @@ class Poly:
 
     @classmethod
     def parse(cls, text):
-        """Parse strings like 'q^5+2q^4+q+1', '0' or 'q^9+q^8-q^6'."""
-        s = text.replace(" ", "")
+        """Parse strings like 'q^5+2q^4+q+1', '0' or 'q^9 + q^8 - q^6'; spaces only at signs."""
+        s = re.sub(r"\s*([+-])\s*", r"\1", text.strip())
         if s in ("0", ""):
             return cls()
         terms = collections.Counter()
-        for piece in re.findall(r"[+-]?[^+-]+", s):
+        for piece in re.split(r"(?<=.)(?=[+-])", s):
             m = _TERM_RE.match(piece)
             if not m:
                 raise ValueError(f"cannot parse term {piece!r} of {text!r}")
@@ -221,7 +226,7 @@ def validate_point(params, alpha):
     a = tuple(alpha)
     if len(a) != params.l:
         raise ValueError(f"point {a} has length {len(a)}, expected {params.l}")
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in a):
+    if not all(map(_is_int, a)):
         raise ValueError(f"point {a} has non-integer entries")
     if not (1 <= a[0] and a[-1] <= params.m and all(x < y for x, y in zip(a, a[1:]))):
         raise ValueError(f"point {a} is not strictly increasing in 1..{params.m}")
@@ -364,7 +369,7 @@ def canonicalize(params, points):
     return SchubertUnion._build(params, tuple(sorted(tops)), pts, None)
 
 
-def _walk(points):
+def _walk(points, base):
     """Every down-set of `points` as (ideal mask, maxima mask, g code).
 
     Bit i stands for points[i].  `points` must be a down-set sorted
@@ -373,15 +378,14 @@ def _walk(points):
     above none of them.  A frame is (next index, ideal, maxima, g); point
     j >= next may join when its lower covers are all chosen, which drops them
     from the maxima, makes j a maximum and adds one cell of j's dimension d
-    to g.  g is g_U(B) with B = len(points) + 1, so it grows by B ** d: every
-    coefficient counts points and stays below B, and `_decode(g, B)` gives
-    g_U(q) back.  Frames are pushed in ascending j and popped in descending j,
-    so the sets come in ascending order of their characteristic vectors read
-    as binary numbers, first point most significant.
+    to g.  g is g_U(base): at base = q the number of F_q-points; at any base
+    above len(points) the code that `_decode(g, base)` reads back as g_U(q).
+    Frames are pushed in ascending j and popped in descending j, so the sets
+    come in ascending order of their characteristic vectors read as binary
+    numbers, first point most significant.
     """
     index = {a: i for i, a in enumerate(points)}
     covers = [sum(1 << index[b] for b in lower_covers(a)) for a in points]
-    base = len(points) + 1
     cells = [base ** cell_dimension(a, len(a)) for a in points]
     n = len(points)
     stack = [(0, 0, 0, 0)]
@@ -425,7 +429,7 @@ def down_sets(points):
     set costs one stack frame, one bitmask test for each point after the last
     one it added, and the frozenset: O(len(points)) steps per set.
     """
-    for _nxt, ideal, _maxima, _g in _walk(points):
+    for _nxt, ideal, _maxima, _g in _walk(points, 1):
         yield frozenset(_picked(points, ideal))
 
 
@@ -447,14 +451,14 @@ def enumerate_ideals(params, guard=DEFAULT_IDEAL_GUARD):
     """
     grid = _guarded_grid(params, guard)
     base = len(grid) + 1
-    for _nxt, _ideal, maxima, g in _walk(grid):
+    for _nxt, _ideal, maxima, g in _walk(grid, base):
         yield SchubertUnion._build(params, tuple(_picked(grid, maxima)), None,
                                    _decode(g, base))
 
 
 def grand_total(params) -> Poly:
     """n(q): the point-count polynomial of the whole Grassmannian."""
-    return SchubertUnion.full(params).point_count()
+    return cell_count(full_grid(params), params.l)
 
 
 def gaussian_binomial(m, l, q) -> int:

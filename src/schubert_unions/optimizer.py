@@ -23,10 +23,9 @@ from .grassgrid import (
     _guarded_grid,
     _picked,
     _walk,
-    canonicalize,
     grand_total,
 )
-from .twodim import _require_l2
+from .twodim import MSet, _require_l2, mset_to_union
 
 
 def _column_fill(m):
@@ -43,7 +42,8 @@ def _first_cells(params, K, fill):
     _require_l2(params)
     if not (0 <= K <= params.k):
         raise ValueError(f"K={K} out of range 0..{params.k}")
-    return canonicalize(params, fill(params.m)[:K])
+    cols = [x for x, _y in fill(params.m)[:K]]
+    return mset_to_union(MSet(params.m, tuple(sorted(map(cols.count, set(cols))))))
 
 
 def left_candidate(params, K) -> SchubertUnion:
@@ -180,7 +180,7 @@ def optimal_unions(params, guard=DEFAULT_IDEAL_GUARD):
     # one slot per span 0..k; every span is reached, since ideals form chains
     best = [-1] * base
     tied = [None] * base
-    for _nxt, ideal, maxima, g in _walk(grid):
+    for _nxt, ideal, maxima, g in _walk(grid, base):
         K = ideal.bit_count()
         if g > best[K]:
             best[K] = g
@@ -207,7 +207,7 @@ def union_table(params, guard=DEFAULT_IDEAL_GUARD):
     base = len(grid) + 1
     indices = range(len(grid))
     rows = sorted([(ideal.bit_count(), g, _picked(indices, maxima))
-                   for _nxt, ideal, maxima, g in _walk(grid)])
+                   for _nxt, ideal, maxima, g in _walk(grid, base)])
     runs = [(K, g, [maxima for _K, _g, maxima in run])
             for (K, g), run in itertools.groupby(rows, key=operator.itemgetter(0, 1))]
     best = [0] * base

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grassgrid import GrassParams, SchubertUnion, canonicalize
+from .grassgrid import GrassParams, SchubertUnion, _is_int
 
 
 class NotTwoDim(ValueError):
@@ -36,7 +36,7 @@ class MSet:
 
     def __post_init__(self):
         e = self.elements
-        if any(not (1 <= x <= self.m - 1) for x in e) or list(e) != sorted(set(e)):
+        if not all(_is_int(x) and 1 <= x < self.m for x in e) or list(e) != sorted(set(e)):
             raise ValueError(f"invalid M-set {e} for m={self.m}")
 
 
@@ -63,32 +63,30 @@ class SigmaSeq:
         return self.a + tuple(reversed(self.b))
 
 
-def union_to_mset(union: SchubertUnion) -> MSet:
-    """Per-column cell counts of G_U, as a subset of {1..m-1}.
+def column_heights(maxima):
+    """Per-column cell counts, increasing, of the l=2 ideal with these sorted maxima.
 
-    Read from the maxima, which builds no point set: column x holds the
-    cells (x, x+1)..(x, Y_x), where Y_x is the largest b over maxima (a, b)
-    with a >= x.  Sorted by a, the maxima have b decreasing, so Y_x is the
-    b of the first maximum with a >= x.
+    Read from the maxima, which builds no point set: column x holds the cells
+    (x, x+1)..(x, b) for the first maximum (a, b) with a >= x, whose b is the
+    largest over those maxima, since b falls as a grows.
     """
+    starts = [1] + [a + 1 for a, _b in maxima]
+    return tuple(sorted(b - x for x0, (a, b) in zip(starts, maxima) for x in range(x0, a + 1)))
+
+
+def union_to_mset(union: SchubertUnion) -> MSet:
+    """Per-column cell counts of G_U, as a subset of {1..m-1}."""
     _require_l2(union.params)
-    heights = []
-    x = 1
-    for a, b in union.maxima:
-        heights.extend(b - col for col in range(x, a + 1))
-        x = a + 1
-    # the heights fall strictly from column to column
-    return MSet(union.params.m, tuple(reversed(heights)))
+    return MSet(union.params.m, column_heights(union.maxima))
 
 
 def mset_to_union(mset: MSet) -> SchubertUnion:
-    """Fill column i with the i-th largest count, bottom up, and canonicalize."""
-    params = GrassParams(2, mset.m)
-    pts = set()
-    for col, cnt in enumerate(sorted(mset.elements, reverse=True), start=1):
-        for j in range(cnt):
-            pts.add((col, col + 1 + j))
-    return canonicalize(params, pts)
+    """Fill column i with the i-th largest count h_i, bottom up: its top cell
+    (i, i + h_i) is a maximum unless column i + 1 holds exactly h_i - 1 cells."""
+    h = sorted(mset.elements, reverse=True)
+    maxima = tuple((i, i + hi) for i, (hi, nxt) in enumerate(zip(h, h[1:] + [-1]), start=1)
+                   if nxt != hi - 1)
+    return SchubertUnion._build(GrassParams(2, mset.m), maxima, None, None)
 
 
 def mset_complement(mset: MSet) -> MSet:
@@ -101,14 +99,11 @@ def union_to_sigma(union: SchubertUnion) -> SigmaSeq:
     _require_l2(union.params)
     if not union.maxima:
         raise EmptyUnion("empty union has no corner sequence")
-    a = tuple(t[0] for t in union.maxima)
-    b = tuple(t[1] for t in union.maxima)
-    return SigmaSeq(union.params.m, a, b)
+    return SigmaSeq(union.params.m, *zip(*union.maxima))
 
 
 def sigma_to_union(sigma: SigmaSeq) -> SchubertUnion:
-    params = GrassParams(2, sigma.m)
-    return SchubertUnion(params, tuple(zip(sigma.a, sigma.b)))
+    return SchubertUnion(GrassParams(2, sigma.m), tuple(zip(sigma.a, sigma.b)))
 
 
 def dual_sigma(sigma: SigmaSeq) -> SigmaSeq:
@@ -117,8 +112,7 @@ def dual_sigma(sigma: SigmaSeq) -> SigmaSeq:
     List m-b_1,...,m-b_s, m-a_s-1, m-a_s, m-a_{s-1},...,m-a_1, m; drop the
     outer pair iff b_1 = m and the middle pair iff b_s = a_s + 1.
     """
-    m = sigma.m
-    a, b = sigma.a, sigma.b
+    m, a, b = sigma.m, sigma.a, sigma.b
     s = len(a)
     raw = ([m - x for x in b]
            + [m - a[-1] - 1, m - a[-1]]

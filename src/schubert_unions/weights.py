@@ -33,7 +33,7 @@ from .grassgrid import (
     GrassParams,
     Poly,
     TooLarge,
-    cell_count,
+    _walk,
     cell_dimension,
     count_text,
     down_sets,
@@ -411,22 +411,25 @@ def min_weight_bruteforce(field, genmat) -> int:
 # Schubert-union codes (l = 2)
 
 
-def enumerate_subideals(union, guard=DEFAULT_IDEAL_GUARD):
-    """Yield every downward-closed subset of G_U (as frozensets of points)."""
+def _guarded_ground(union, guard):
+    """G_U sorted lexicographically, after checking its size against the guard."""
     ground = sorted(union.ideal())
     if len(ground) > guard:
         raise TooLarge(f"union has {len(ground)} points, guard is {guard}")
-    yield from down_sets(ground)
+    return ground
+
+
+def enumerate_subideals(union, guard=DEFAULT_IDEAL_GUARD):
+    """Yield every downward-closed subset of G_U (as frozensets of points)."""
+    yield from down_sets(_guarded_ground(union, guard))
 
 
 def relative_bound(union, q, guard=DEFAULT_IDEAL_GUARD):
-    """dict r -> M_r: the most points a sub-union of spanning deficit r can have."""
-    l = union.params.l
-    K = union.span()
+    """dict r -> M_r, the most F_q-points of a sub-union of span deficit r (walk codes, base q)."""
+    ground = _guarded_ground(union, guard)
     best = {}
-    for sub in enumerate_subideals(union, guard):
-        r = K - len(sub)
-        pts = cell_count(sub, l)(q)
+    for _nxt, ideal, _maxima, pts in _walk(ground, q):
+        r = len(ground) - ideal.bit_count()
         if pts > best.get(r, -1):
             best[r] = pts
     return best

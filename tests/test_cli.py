@@ -702,7 +702,7 @@ def reference_enumerate(params, fmt):
     rows = []
     for u in unions:
         g = u.point_count()
-        m_u = (cli._mset_str(twodim.union_to_mset(u)),) if params.l == 2 else ()
+        m_u = (cli._mset_str(twodim.union_to_mset(u).elements),) if params.l == 2 else ()
         rows.append((u.label(), u.span(), u.krull(), *m_u, g,
                      "Yes" if g == best[u.span()] else "No"))
     headers = ["U", "Span", "Krull", "M_U", "Points", "Maximal"] if params.l == 2 \

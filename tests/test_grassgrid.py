@@ -1,8 +1,10 @@
 import itertools
 import random
+import re
 
 import pytest
 
+from schubert_unions import grassgrid
 from schubert_unions.grassgrid import (
     GrassParams,
     NotDownwardClosed,
@@ -304,6 +306,26 @@ def test_grand_total_matches_product_formula():
             assert n(q) == gaussian_binomial(params.m, params.l, q)
 
 
+def test_grand_total_builds_no_closure(monkeypatch):
+    expected = {(l, m): grand_total(GrassParams(l, m))
+                for m in range(2, 11) for l in range(1, min(m, 6))}
+
+    def refuse(*args):
+        raise AssertionError("down_closure called")
+
+    monkeypatch.setattr(grassgrid, "down_closure", refuse)
+    for (l, m), n in expected.items():
+        assert grand_total(GrassParams(l, m)) == n
+
+
+def test_grand_total_matches_full_union():
+    # grand_total once read the full union's point count
+    for m in range(2, 11):
+        for l in range(1, min(m, 6)):
+            params = GrassParams(l, m)
+            assert grand_total(params) == SchubertUnion.full(params).point_count(), params
+
+
 def test_partition_bijection_basics():
     p = GrassParams(3, 6)
     assert partition_to_grid(p, (0, 0, 0)) == (1, 2, 3)
@@ -347,6 +369,24 @@ def test_poly_basics():
     assert Poly.zero().degree == -1
     assert str(Poly.zero()) == "0"
     assert Poly.monomial(3, 2) - Poly.monomial(3, 2) == Poly.zero()
+
+
+@pytest.mark.parametrize("text", ["q^2-+1", "2q^2-", "q^2++q", "1 2", "+", "q^2 3"])
+def test_poly_parse_refuses_malformed_text(text):
+    with pytest.raises(ValueError, match="cannot parse .*" + re.escape(repr(text))):
+        Poly.parse(text)
+
+
+def test_poly_parse_allows_spaces_around_signs():
+    assert Poly.parse("q^4 + q^3") == Poly.parse("q^4+q^3")
+    assert Poly.parse(" q^9 + q^8 -  q^6 ") == Poly.parse("q^9+q^8-q^6")
+    assert Poly.parse("-q + 1") == Poly((1, -1))
+
+
+@pytest.mark.parametrize("l,m", [(True, 4), (2.0, 5), (2, 5.0), ("2", 5)])
+def test_grass_params_refuse_non_integers(l, m):
+    with pytest.raises(ValueError, match=re.escape(f"got l={l!r}, m={m!r}")):
+        GrassParams(l, m)
 
 
 def test_poly_reciprocal():
@@ -433,7 +473,7 @@ def test_enumerate_ideals_never_compares_points(monkeypatch):
 def test_walk_codes_decode_to_cell_counts(params):
     grid = full_grid(params)
     base = len(grid) + 1
-    for _nxt, ideal, _maxima, g in _walk(grid):
+    for _nxt, ideal, _maxima, g in _walk(grid, base):
         pts = list(_picked(grid, ideal))
         assert _decode(g, base) == cell_count(pts, params.l), pts
         assert _decode(g, base)(1) == ideal.bit_count() == len(pts), pts
@@ -446,7 +486,7 @@ def test_walk_code_gives_span_and_krull(params):
     # the maxima as grid indices
     grid = full_grid(params)
     base = len(grid) + 1
-    for _nxt, ideal, maxima, g in _walk(grid):
+    for _nxt, ideal, maxima, g in _walk(grid, base):
         poly = _decode(g, base)
         indices = _picked(range(len(grid)), maxima)
         assert indices == [i for i in range(len(grid)) if maxima >> i & 1]

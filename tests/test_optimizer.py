@@ -5,6 +5,7 @@ from schubert_unions.grassgrid import (
     Poly,
     SchubertUnion,
     _decode,
+    canonicalize,
     enumerate_ideals,
 )
 from schubert_unions.optimizer import (
@@ -25,6 +26,7 @@ from schubert_unions.optimizer import (
 from schubert_unions.optimizer import _column_fill, _row_fill, _running_codes
 
 from table_fixtures import DIRECTIONS, E_EXPONENTS
+from test_twodim import refuse_canonicalize
 
 
 def test_candidate_edges():
@@ -326,6 +328,31 @@ def test_lex_order_agrees_with_point_counts():
             lex_best = max(polys)
             for q in (2, 3):
                 assert lex_best(q) == max(p(q) for p in polys), (m, K, q)
+
+
+def reference_candidate(params, K, fill):
+    """A candidate as it was when canonicalize closed its first K cells."""
+    return canonicalize(params, fill(params.m)[:K])
+
+
+def test_candidates_match_canonicalize_reference():
+    for m in range(3, 15):
+        p = GrassParams(2, m)
+        for K in range(p.k + 1):
+            for got, fill in ((left_candidate(p, K), _column_fill),
+                              (right_candidate(p, K), _row_fill)):
+                ref = reference_candidate(p, K, fill)
+                assert got == ref and got.point_count() == ref.point_count(), (m, K)
+
+
+def test_candidates_build_no_point_set(monkeypatch):
+    refuse_canonicalize(monkeypatch)
+    for m in (3, 7, 10):
+        p = GrassParams(2, m)
+        for K in range(p.k + 1):
+            left, right = left_candidate(p, K), right_candidate(p, K)
+            assert left._ideal is None and right._ideal is None
+            assert best_union(p, K)[0] in (left, right)
 
 
 def test_out_of_range_K():

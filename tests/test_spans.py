@@ -61,6 +61,8 @@ def test_tracer_hooks_run(capsys):
         assert cli.main(["experiment", "Q4", "--l", "2", "--m", "4", "--q", "2"]) == 0
         assert cli.main(["genmatrix", "--l", "2", "--m", "5", "--q", "2",
                          "--union", "[[2,5]]"]) == 0
+        assert cli.main(["weights", "--l", "2", "--m", "5", "--q", "2",
+                         "--union", "[[1,5],[2,3]]"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -78,3 +80,6 @@ def test_tracer_hooks_run(capsys):
     assert tracer.span_name.count(adapter) == 5
     assert 0 < metrics["weights._MaskCache.mask.hit_ratio"] < 1
     assert metrics["grassgrid.SchubertUnion.ideal.calls"] > 0
+    # the --union job bounds its sub-unions in one traced call
+    bound = tracer.names.index("weights.relative_bound")
+    assert tracer.span_name.count(bound) == 1

@@ -2,8 +2,15 @@ import itertools
 
 import pytest
 
+import schubert_unions
+from schubert_unions import duality, grassgrid, optimizer, twodim
 from schubert_unions.duality import dual_union
-from schubert_unions.grassgrid import GrassParams, SchubertUnion, enumerate_ideals
+from schubert_unions.grassgrid import (
+    GrassParams,
+    SchubertUnion,
+    canonicalize,
+    enumerate_ideals,
+)
 from schubert_unions.twodim import (
     EmptyUnion,
     MSet,
@@ -31,6 +38,58 @@ def test_mset_to_union_examples():
     for m in range(3, 9):
         assert mset_to_union(MSet(m, tuple(range(1, m)))) == \
             SchubertUnion.full(GrassParams(2, m))
+
+
+def reference_mset_to_union(mset):
+    """mset_to_union as it was when it closed the filled cells with canonicalize."""
+    params = GrassParams(2, mset.m)
+    pts = set()
+    for col, cnt in enumerate(sorted(mset.elements, reverse=True), start=1):
+        for j in range(cnt):
+            pts.add((col, col + 1 + j))
+    return canonicalize(params, pts)
+
+
+def every_mset(m):
+    for size in range(m):
+        for elements in itertools.combinations(range(1, m), size):
+            yield MSet(m, elements)
+
+
+def refuse_canonicalize(monkeypatch):
+    """Make canonicalize raise in every module that binds the name."""
+    def refuse(*args):
+        raise AssertionError("canonicalize called")
+
+    for module in (schubert_unions, grassgrid, twodim, optimizer, duality):
+        if hasattr(module, "canonicalize"):
+            monkeypatch.setattr(module, "canonicalize", refuse)
+
+
+def test_mset_to_union_matches_canonicalize_reference():
+    for m in range(3, 13):
+        for ms in every_mset(m):
+            u = mset_to_union(ms)
+            ref = reference_mset_to_union(ms)
+            assert u == ref and u.point_count() == ref.point_count(), ms
+            # the unchecked build holds a valid antichain
+            assert SchubertUnion(u.params, u.maxima) == u, ms
+
+
+def test_mset_to_union_builds_no_point_set(monkeypatch):
+    refuse_canonicalize(monkeypatch)
+    for m in (3, 6, 9):
+        for ms in every_mset(m):
+            u = mset_to_union(ms)
+            assert u._ideal is None
+            assert union_to_mset(u) == ms
+
+
+def test_mset_refuses_non_integer_elements():
+    with pytest.raises(ValueError, match=r"invalid M-set \(1\.5,\) for m=5"):
+        MSet(5, (1.5,))
+    with pytest.raises(ValueError, match="invalid M-set"):
+        MSet(5, (True,))
 
 
 def test_mset_roundtrip_exhaustive():

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from schubert_unions import cli, weights
+from schubert_unions import cli, grassgrid, weights
 from schubert_unions.gf import Field, row_reduce
 from schubert_unions.grassgrid import (
     GrassParams,
     Poly,
     SchubertUnion,
+    cell_count,
     enumerate_ideals,
     grand_total,
 )
@@ -467,6 +468,57 @@ def test_relative_bound_golden():
                                     1: 35, 0: 43}
     assert relative_bound(u, 3) == {7: 0, 6: 1, 5: 4, 4: 13, 3: 40, 2: 49,
                                     1: 130, 0: 157}
+
+
+def reference_relative_bound(union, q):
+    """relative_bound as it was when it recounted every sub-ideal's frozenset."""
+    K = union.span()
+    best = {}
+    for sub in weights.enumerate_subideals(union):
+        r = K - len(sub)
+        pts = cell_count(sub, union.params.l)(q)
+        if pts > best.get(r, -1):
+            best[r] = pts
+    return best
+
+
+RELATIVE_GRIDS = [GrassParams(1, 6), *(GrassParams(2, m) for m in range(4, 9)),
+                  GrassParams(3, 6), GrassParams(4, 6)]
+
+
+@pytest.mark.parametrize("params", RELATIVE_GRIDS, ids=repr)
+def test_relative_bound_matches_frozenset_reference(params):
+    for u in enumerate_ideals(params):
+        if u.span() <= 16:
+            for q in (2, 3, 4, 5):
+                assert relative_bound(u, q) == reference_relative_bound(u, q), (u, q)
+
+
+def test_relative_bound_reads_walk_codes(monkeypatch):
+    u = SchubertUnion(GrassParams(2, 6), [(1, 6), (3, 5)])
+    expected = reference_relative_bound(u, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sub-ideal point set built")
+
+    for module in (grassgrid, weights):
+        for name in ("cell_count", "down_sets", "enumerate_subideals"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert relative_bound(u, 3) == expected
+
+
+def test_relative_bound_guard_comes_first(monkeypatch):
+    u = SchubertUnion(GrassParams(2, 8), [(1, 8), (3, 6)])
+
+    def refuse(*args):
+        raise AssertionError("walk started")
+
+    monkeypatch.setattr(weights, "_walk", refuse)
+    with pytest.raises(weights.TooLarge, match=f"union has {u.span()} points, guard is 10"):
+        relative_bound(u, 2, guard=10)
+    with pytest.raises(weights.TooLarge, match=f"union has {u.span()} points, guard is 10"):
+        next(weights.enumerate_subideals(u, guard=10))
 
 
 def test_union_code_params_errors():
