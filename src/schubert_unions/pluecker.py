@@ -32,6 +32,13 @@ Since q <= gf.MAX_Q = 256, every vector the walk yields is `bytes`, one
 byte per minor, and a generator matrix's columns are those bytes as they
 are.  `cell_matrices` and `pluecker_vector` (int tuples) are the
 single-matrix reference the tests hold this walk to.
+
+`write_text` turns blocks of `_TEXT_CHUNK` columns into text with `bytes`
+operations alone: each entry of a block gets one byte slot per decimal
+digit of q - 1 and one for its separator, one `translate` per digit place
+fills that place for every entry (NUL where the entry is shorter), one
+slice assignment puts a newline after every k-th entry, and deleting the
+NULs leaves the block's lines, written as one `str`.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ from .grassgrid import (
 )
 
 DEFAULT_POINT_GUARD = 10 ** 7
+_TEXT_CHUNK = 4096    # columns per write of write_text
 
 
 def free_positions(alpha, l):
@@ -395,11 +403,21 @@ def generator_matrix(field, params, union=None, guard=DEFAULT_POINT_GUARD):
 
 def write_text(genmat, stream):
     """One column per line, entries as integers separated by spaces."""
-    # one write per block of columns, each entry's text looked up by value
-    name = [str(v) for v in range(genmat.field.q)].__getitem__
+    # per entry, `places` digit slots padded with NUL on the left and one
+    # separator slot (see the module docstring)
+    q, k = genmat.field.q, genmat.k
+    places = len(str(q - 1))
+    width = places + 1
+    names = [str(v).rjust(places, "\0").encode() for v in range(q)]
+    tables = [bytes(name[j] for name in names).ljust(256, b"\0") for j in range(places)]
     cols = genmat.columns
-    for i in range(0, len(cols), 4096):
-        stream.write("".join([" ".join(map(name, col)) + "\n" for col in cols[i:i + 4096]]))
+    for i in range(0, len(cols), _TEXT_CHUNK):
+        data = b"".join(cols[i:i + _TEXT_CHUNK])
+        out = bytearray(b" ") * (len(data) * width)
+        for j, table in enumerate(tables):
+            out[j::width] = data.translate(table)
+        out[width * k - 1::width * k] = b"\n" * (len(data) // k)
+        stream.write(out.translate(None, b"\0").decode("ascii"))
 
 
 def write_binary(genmat, stream):

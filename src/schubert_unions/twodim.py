@@ -35,6 +35,8 @@ class MSet:
     elements: tuple
 
     def __post_init__(self):
+        if not _is_int(self.m):
+            raise ValueError(f"M-set needs an integer m, got {self.m!r}")
         e = self.elements
         if not all(_is_int(x) and 1 <= x < self.m for x in e) or list(e) != sorted(set(e)):
             raise ValueError(f"invalid M-set {e} for m={self.m}")
@@ -52,9 +54,12 @@ class SigmaSeq:
     b: tuple
 
     def __post_init__(self):
-        seq = self.seq()
         if len(self.a) != len(self.b) or not self.a:
             raise ValueError("need equally many a's and b's, at least one each")
+        bad = [x for x in (self.m, *self.a, *self.b) if not _is_int(x)]
+        if bad:
+            raise ValueError(f"corner sequence needs integers, got {bad[0]!r}")
+        seq = self.seq()
         if any(x >= y for x, y in zip(seq, seq[1:])) or seq[0] < 1 or seq[-1] > self.m:
             raise ValueError(f"sequence {seq} is not strictly increasing in 1..{self.m}")
 

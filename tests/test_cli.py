@@ -201,6 +201,12 @@ GENMATRIX_GOLDEN = [
      "b4c4bc5286477ba5e8572e4ee7ff81afaa9163e53150c75b5ca5ee1cc591c87e"),
     ("--l 2 --m 4 --q 256 --union [[1,4]]",
      "d08c66191f48391c07b22cb84bd79e3d2780e88d0f63ca7266c56f80dd75ef4c"),
+    # recorded while the text writer joined one column at a time: entries
+    # of two digits, over an extension field and on a union
+    ("--l 2 --m 3 --q 27",
+     "a82f584ae4c8e6112acf34545824875f766a0c07728609f8a66c748e5c4c78d0"),
+    ("--l 2 --m 4 --q 13 --union [[2,4]]",
+     "5db6fef9275c94f314e155d2e595b41ab57ec6786f47b6efa7b4b31f6320bb52"),
 ]
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -388,3 +389,79 @@ def test_exports():
     assert len(body) == gm.k * gm.n
     # row-major: row i is entry i of every column
     assert body == bytes(col[i] for i in range(gm.k) for col in gm.columns)
+
+
+def reference_text(genmat):
+    """The text format written one column at a time: the writer `write_text`
+    replaced, kept as its byte-for-byte reference."""
+    name = [str(v) for v in range(genmat.field.q)].__getitem__
+    return "".join(" ".join(map(name, col)) + "\n" for col in genmat.columns)
+
+
+@functools.lru_cache(maxsize=None)
+def text_field(q):
+    return Field(q)
+
+
+def random_matrix(q, k, n, seed=0):
+    """n columns of k entries that use every value of F_q once n*k >= q."""
+    entries = [v % q for v in range(n * k)]
+    random.Random(seed).shuffle(entries)
+    data = bytes(entries)
+    columns = tuple(data[i:i + k] for i in range(0, n * k, k))
+    return pluecker.GeneratorMatrix(text_field(q), GrassParams(2, 4), None,
+                                    tuple(range(k)), columns)
+
+
+def text_of(genmat):
+    out = io.StringIO()
+    write_text(genmat, out)
+    return out.getvalue()
+
+
+# every digit width of q - 1 <= 255, with and without NUL-padded places
+TEXT_FIELDS = (2, 9, 11, 16, 27, 101, 251, 256)
+CHUNK = pluecker._TEXT_CHUNK
+
+
+@pytest.mark.parametrize("q", TEXT_FIELDS)
+@pytest.mark.parametrize("k", (1, 2, 5))
+@pytest.mark.parametrize("n", (0, 1, CHUNK - 1, CHUNK, CHUNK + 1))
+def test_write_text_matches_reference(q, k, n):
+    gm = random_matrix(q, k, n, seed=q * k + n)
+    # compared as lists of lines, so a failure names the first bad column
+    # rather than diffing two long strings
+    assert text_of(gm).split("\n") == reference_text(gm).split("\n")
+
+
+@pytest.mark.parametrize("q", (2, 13, 256))
+def test_write_text_of_the_empty_union(q):
+    params = GrassParams(2, 5)
+    gm = generator_matrix(text_field(q), params, SchubertUnion.empty(params))
+    assert gm.n == 0
+    assert text_of(gm) == reference_text(gm) == ""
+
+
+def test_write_text_memory_is_bounded_by_the_chunk():
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    # 100,000 columns give 1.2 MB of text; one chunk of 4096 columns is
+    # 48 KB of text, and joining it takes a buffer record of about 80 bytes
+    # per column, so a writer that holds one chunk at a time stays far below
+    # the bound, which does not grow with n, and one that holds the whole
+    # text does not
+    bound = 1 << 20
+    gm = random_matrix(2, 6, 100_000)
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        write_text(gm, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size == 100_000 * 12 > bound
+    assert peak < bound

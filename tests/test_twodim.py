@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -90,6 +91,25 @@ def test_mset_refuses_non_integer_elements():
         MSet(5, (1.5,))
     with pytest.raises(ValueError, match="invalid M-set"):
         MSet(5, (True,))
+
+
+@pytest.mark.parametrize("m", [5.0, True, "5", None])
+def test_mset_refuses_non_integer_m(m):
+    with pytest.raises(ValueError, match=re.escape(f"got {m!r}")):
+        MSet(m, (1, 2))
+
+
+@pytest.mark.parametrize("m,a,b,bad", [
+    (7, (1.5,), (3,), 1.5),
+    (7, (1,), (3.0,), 3.0),
+    (7.0, (1,), (3,), 7.0),
+    (7, (True,), (3,), True),
+    (True, (1,), (3,), True),
+    (7, (1, 2), (5, "4"), "4"),
+])
+def test_sigma_refuses_non_integers(m, a, b, bad):
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+        SigmaSeq(m, a, b)
 
 
 def test_mset_roundtrip_exhaustive():
