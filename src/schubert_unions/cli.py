@@ -22,7 +22,6 @@ from .grassgrid import (
     SchubertUnion,
     TooLarge,
 )
-from .twodim import NotTwoDim
 from .weights import BudgetExceeded
 
 GUARD_ENV = "SCHUBERT_UNIONS_GUARD"
@@ -107,12 +106,14 @@ def cmd_encode(args, out):
     params = GrassParams(args.l, args.m)
     u = _parse_union(params, args.union)
     ms = twodim.union_to_mset(u)
-    dual = duality.dual_union(u)
+    # the complement is the dual's M-set: the dual is built from its maxima
+    dual_ms = twodim.mset_complement(ms)
+    dual = twodim.mset_to_union(dual_ms)
     rows = [
         ("M_U", _mset_str(ms.elements)),
         ("sigma_U", "<".join(map(str, twodim.union_to_sigma(u).seq()))
          if u.maxima else "-"),
-        ("M_dual", _mset_str(twodim.mset_complement(ms).elements)),
+        ("M_dual", _mset_str(dual_ms.elements)),
         ("sigma_dual", "<".join(map(str, twodim.union_to_sigma(dual).seq()))
          if dual.maxima else "-"),
         ("dual", dual.label()),
@@ -139,8 +140,6 @@ def cmd_bounds(args, out):
 
 def cmd_directions(args, out):
     params = GrassParams(args.l, args.m)
-    if params.l != 2:
-        raise NotTwoDim("directions are defined for l = 2")
     dirs = optimizer.directions(params)
     if args.format == "json":
         out.write(json.dumps({"l": 2, "m": params.m, "directions": dirs}) + "\n")
@@ -250,10 +249,12 @@ def experiment_q3(params):
 
 
 def experiment_q8(params, guard):
-    best = optimizer.optimal_unions(params, guard)
-    # the dual of a union of span K has span k - K: its point set is not built
-    witnesses = [K for K in sorted(best)
-                 if any(duality.dual_union(u) not in best[params.k - K][1] for u in best[K][1])]
+    table = optimizer.exhaustive_bound_table(params, guard)
+    k = params.k
+    # every maximiser of span K has g_U = J and h_U = D of row k - K; its dual
+    # has span k - K and q^delta * h_U(1/q) points (duality.dual_point_count)
+    witnesses = [K for K in range(k + 1)
+                 if table.row(k - K).D.reversed_within(params.delta) != table.row(K).J]
     if not witnesses:
         return "affirmative", []
     return f"negative (witness K={witnesses[0]})", witnesses

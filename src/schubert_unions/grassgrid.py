@@ -317,8 +317,8 @@ class SchubertUnion:
     def point_count(self) -> Poly:
         """g_U(q): cells of G_U counted by dimension.
 
-        Carried by the unions that `enumerate_ideals` and `optimal_unions`
-        build, decoded from the walk's g code.
+        Carried by the unions that `enumerate_ideals` builds, decoded from
+        the walk's g code.
         """
         if self._g is not None:
             return self._g
@@ -339,9 +339,13 @@ class SchubertUnion:
 
     @classmethod
     def from_json(cls, text):
+        """The union that `to_json` wrote; a ValueError names malformed text."""
         data = json.loads(text)
-        params = GrassParams(data["l"], data["m"])
-        return cls(params, tuple(tuple(a) for a in data["maxima"]))
+        try:
+            l, m, maxima = data["l"], data["m"], tuple(tuple(a) for a in data["maxima"])
+        except (KeyError, TypeError):
+            raise ValueError(f"union JSON needs l, m and a list of maxima, got {text!r}") from None
+        return cls(GrassParams(l, m), maxima)
 
     def __eq__(self, other):
         return (isinstance(other, SchubertUnion)
@@ -396,6 +400,19 @@ def _walk(points, base):
             cov = covers[j]
             if ideal & cov == cov:
                 stack.append((j + 1, ideal | 1 << j, maxima & ~cov | 1 << j, g + cells[j]))
+
+
+def _span_maxima(points, base):
+    """The largest `_walk` code among the down-sets of each size 0..len(points).
+
+    Every size is reached, since a down-set grows one point at a time.
+    """
+    best = [-1] * (len(points) + 1)
+    for _nxt, ideal, _maxima, g in _walk(points, base):
+        K = ideal.bit_count()
+        if g > best[K]:
+            best[K] = g
+    return best
 
 
 def _decode(code, base) -> Poly:

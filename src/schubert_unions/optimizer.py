@@ -22,6 +22,7 @@ from .grassgrid import (
     _decode,
     _guarded_grid,
     _picked,
+    _span_maxima,
     _walk,
     grand_total,
 )
@@ -38,10 +39,14 @@ def _row_fill(m):
     return [(x, y) for y in range(2, m + 1) for x in range(1, y)]
 
 
-def _first_cells(params, K, fill):
+def _require_span(params, K):
     _require_l2(params)
     if not (0 <= K <= params.k):
         raise ValueError(f"K={K} out of range 0..{params.k}")
+
+
+def _first_cells(params, K, fill):
+    _require_span(params, K)
     cols = [x for x, _y in fill(params.m)[:K]]
     return mset_to_union(MSet(params.m, tuple(sorted(map(cols.count, set(cols))))))
 
@@ -59,18 +64,21 @@ def right_candidate(params, K) -> SchubertUnion:
 def best_union(params, K):
     """Winner among the two candidates and its direction 'L', 'R' or 'LR'.
 
-    On a tie ('LR') the polynomials agree; the left union is returned.
-    Use left_candidate() and right_candidate() when both unions are wanted.
+    The direction is read off the candidates' codes (`directions`), and only
+    the winner is built.  On a tie ('LR') the polynomials agree; the left
+    union is returned.  Use left_candidate() and right_candidate() when both
+    unions are wanted.
     """
-    left, right = left_candidate(params, K), right_candidate(params, K)
-    direction = _direction(left.point_count(), right.point_count())
-    return (right if direction == "R" else left), direction
+    _require_span(params, K)
+    direction = directions(params)[params.k - K]
+    return (right_candidate if direction == "R" else left_candidate)(params, K), direction
 
 
 def _direction(g_left, g_right) -> str:
     """'L', 'R' or 'LR': which candidate's g is larger.
 
-    Takes two Polys (lex order) or two codes of one base (int order).
+    Takes two codes of one base (`_running_codes`); their int order is the
+    lex order of the polynomials.
     """
     if g_left > g_right:
         return "L"
@@ -162,37 +170,9 @@ def bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:
     """
     if params.l == 2:
         base = params.k + 1
-        best_by_span = {K: (_decode(g, base), direction)
-                        for K, (g, direction) in enumerate(_l2_best(params.m))}
-        return _table_from_best(params, best_by_span)
+        return _table_from_best(params, [(_decode(g, base), direction)
+                                         for g, direction in _l2_best(params.m)])
     return exhaustive_bound_table(params, guard)
-
-
-def optimal_unions(params, guard=DEFAULT_IDEAL_GUARD):
-    """span -> (lex-max g_U, set of unions attaining it), over every order ideal.
-
-    The walk's g codes are compared as integers, which is the lex order of
-    the polynomials (see `grassgrid._walk`).  Tied ideals are kept as maxima
-    masks; unions and polynomials are built only for each span's winners.
-    """
-    grid = _guarded_grid(params, guard)
-    base = len(grid) + 1
-    # one slot per span 0..k; every span is reached, since ideals form chains
-    best = [-1] * base
-    tied = [None] * base
-    for _nxt, ideal, maxima, g in _walk(grid, base):
-        K = ideal.bit_count()
-        if g > best[K]:
-            best[K] = g
-            tied[K] = [maxima]
-        elif g == best[K]:
-            tied[K].append(maxima)
-    out = {}
-    for K, (g, masks) in enumerate(zip(best, tied)):
-        poly = _decode(g, base)
-        out[K] = (poly, {SchubertUnion._build(params, tuple(_picked(grid, mask)), None, poly)
-                         for mask in masks})
-    return out
 
 
 def union_table(params, guard=DEFAULT_IDEAL_GUARD):
@@ -217,9 +197,15 @@ def union_table(params, guard=DEFAULT_IDEAL_GUARD):
 
 
 def exhaustive_bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:
-    """J_r / D_r / E_r by sweeping every order ideal; any l, guarded."""
-    best = optimal_unions(params, guard)
-    return _table_from_best(params, {K: (g, None) for K, (g, _us) in best.items()})
+    """J_r / D_r / E_r by sweeping every order ideal; any l, guarded.
+
+    The walk's g codes are compared as integers, which is the lex order of
+    the polynomials (see `grassgrid._walk`); one J is decoded per span.
+    """
+    grid = _guarded_grid(params, guard)
+    base = len(grid) + 1
+    return _table_from_best(params, [(_decode(g, base), None)
+                                     for g in _span_maxima(grid, base)])
 
 
 def cardinality(point) -> int:
@@ -254,9 +240,7 @@ def krull_dK(params, K) -> int:
     The largest d with C(d) <= K, by bisection: C is nondecreasing, with
     C(-1) = 0 <= K and C(2m-3) infinite.
     """
-    _require_l2(params)
-    if not (0 <= K <= params.k):
-        raise ValueError(f"K={K} out of range 0..{params.k}")
+    _require_span(params, K)
     lo, hi = -1, 2 * params.m - 3
     while hi - lo > 1:
         mid = (lo + hi) // 2

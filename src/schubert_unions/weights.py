@@ -33,7 +33,7 @@ from .grassgrid import (
     GrassParams,
     Poly,
     TooLarge,
-    _walk,
+    _span_maxima,
     cell_dimension,
     count_text,
     down_sets,
@@ -426,13 +426,8 @@ def enumerate_subideals(union, guard=DEFAULT_IDEAL_GUARD):
 
 def relative_bound(union, q, guard=DEFAULT_IDEAL_GUARD):
     """dict r -> M_r, the most F_q-points of a sub-union of span deficit r (walk codes, base q)."""
-    ground = _guarded_ground(union, guard)
-    best = {}
-    for _nxt, ideal, _maxima, pts in _walk(ground, q):
-        r = len(ground) - ideal.bit_count()
-        if pts > best.get(r, -1):
-            best[r] = pts
-    return best
+    best = _span_maxima(_guarded_ground(union, guard), q)
+    return {r: best[-1 - r] for r in range(len(best))}
 
 
 def union_code_params(union, q, guard=DEFAULT_IDEAL_GUARD):

@@ -1,9 +1,11 @@
+import csv
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from schubert_unions.cli import FORMATS, main
 from schubert_unions.grassgrid import GrassParams, SchubertUnion, enumerate_ideals
 
 from table_fixtures import DIRECTIONS
+from test_optimizer import reference_optimal_unions
 
 
 def run_cli(argv, capsys):
@@ -744,17 +747,70 @@ def test_dual_json_closes_one_ideal(capsys, monkeypatch):
 
 
 def test_experiment_q8_closes_no_dual(capsys, monkeypatch):
-    # each maximal union's ideal is closed once, for its dual's maxima; the
-    # dual's span is read as k - K
-    params = GrassParams(2, 8)
-    unions = sum(len(us) for _g, us in optimizer.optimal_unions(params).values())
+    # the duals' point counts are read off the bound table, so no union's
+    # ideal is closed
     calls = []
     closure = grassgrid.down_closure
     monkeypatch.setattr(grassgrid, "down_closure",
                         lambda points: calls.append(1) or closure(points))
     code, out, _ = run_cli(["experiment", "Q8", "--l", "2", "--m", "8"], capsys)
     assert (code, out) == (0, "Q8 for (2,8): affirmative\n")
-    assert len(calls) == unions
+    assert calls == []
+
+
+def reference_q8(params):
+    """experiment_q8 as it was before it read the bound table: every union of
+    largest g_U, dualised and looked up among the maximisers of the dual span."""
+    best = reference_optimal_unions(params, guard=params.k)
+    witnesses = [K for K in sorted(best)
+                 if any(duality.dual_union(u) not in best[params.k - K][1] for u in best[K][1])]
+    if not witnesses:
+        return "affirmative", []
+    return f"negative (witness K={witnesses[0]})", witnesses
+
+
+def test_experiment_q8_matches_union_reference():
+    grids = [GrassParams(l, m) for m in range(2, 46) for l in range(1, m) if comb(m, l) <= 45]
+    for params in grids:
+        assert cli.experiment_q8(params, 45) == reference_q8(params), params
+
+
+def encoded_dual(out, fmt):
+    """The `dual` field of an `encode` table."""
+    if fmt == "json":
+        return json.loads(out)[-1]["value"]
+    last = out.splitlines()[-1]
+    return next(csv.reader([last]))[1] if fmt == "csv" else last.split("|")[2].strip()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_encode_closes_no_ideal(capsys, monkeypatch, fmt):
+    # the dual comes from the complement M-set, not from H_U
+    unions = [*enumerate_ideals(GrassParams(2, 7)),
+              SchubertUnion(GrassParams(2, 30), [(1, 30), (5, 20), (12, 14)])]
+    duals = [duality.dual_union(u).label() for u in unions]
+
+    def refuse(*args):
+        raise AssertionError("down_closure called")
+
+    for module in (grassgrid, duality):
+        monkeypatch.setattr(module, "down_closure", refuse)
+    for u, dual in zip(unions, duals):
+        argv = ["encode", "--l", "2", "--m", str(u.params.m),
+                "--union", json.dumps([list(a) for a in u.maxima]), "--format", fmt]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and encoded_dual(out, fmt) == dual, u
+
+
+def test_directions_refuses_l3(capsys):
+    # optimizer.directions refuses l != 2, as encode and krull do
+    code, out, err = run_cli(["directions", "--l", "3", "--m", "6"], capsys)
+    assert (code, out, err) == (2, "", "error: l = 3, need l = 2\n")
+
+
+def test_weights_oracle_needs_q(capsys):
+    code, out, err = run_cli(["weights", "--l", "2", "--m", "4", "--oracle"], capsys)
+    assert (code, out, err) == (2, "", "error: --oracle needs --q\n")
 
 
 def test_dual_json_skips_explicit_dual(capsys, monkeypatch):

@@ -1,5 +1,8 @@
+import pytest
+
 from schubert_unions import duality
 from schubert_unions.duality import (
+    ReciprocityViolation,
     dual_point_count,
     dual_union,
     dual_union_explicit,
@@ -108,3 +111,11 @@ def test_dual_point_count_edges():
     u = SchubertUnion(p, [(3, 5)])
     both = SchubertUnion(p, [(2, 7), (3, 4)])
     assert dual_point_count(u) == both.point_count()
+
+
+def test_dual_point_count_refuses_g_above_delta():
+    # a corrupt g of degree delta + 1 leaves h_U = n - g of that degree
+    p = GrassParams(2, 5)
+    u = SchubertUnion._build(p, ((2, 4),), None, Poly.monomial(p.delta + 1))
+    with pytest.raises(ReciprocityViolation, match=f"degree {p.delta + 1} > delta {p.delta}"):
+        dual_point_count(u)

@@ -332,6 +332,12 @@ def test_partition_bijection_basics():
     assert grid_to_partition(p, (1, 2, 3)) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("c", [(0, 0), (0, 0, 0, 0), (1, -1, 0), (2, 1, 1)])
+def test_partition_to_grid_refuses_invalid_tuples(c):
+    with pytest.raises(ValueError, match=re.escape(f"invalid partition tuple {c}")):
+        partition_to_grid(GrassParams(3, 6), c)
+
+
 def test_partition_column_example():
     # the ideal of (1,7) in G(2,7) is the c-column {(c1, 0) : 0 <= c1 <= 5}
     p = GrassParams(2, 7)
@@ -358,6 +364,24 @@ def test_union_json_roundtrip():
     u = SchubertUnion(GrassParams(2, 7), [(1, 7), (3, 5)])
     assert u.to_json() == '{"l": 2, "m": 7, "maxima": [[1, 7], [3, 5]]}'
     assert SchubertUnion.from_json(u.to_json()) == u
+
+
+@pytest.mark.parametrize("text", [
+    '{"l": 2, "m": 5}',
+    '[1,2]',
+    '{"l":2,"m":5,"maxima":3}',
+    '{"l":2,"m":5,"maxima":[3]}',
+])
+def test_union_from_json_refuses_malformed_text(text):
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        SchubertUnion.from_json(text)
+
+
+def test_union_refuses_attribute_assignment():
+    u = SchubertUnion(GrassParams(2, 5), [(2, 4)])
+    with pytest.raises(AttributeError, match="immutable"):
+        u.maxima = ()
+    assert u.maxima == ((2, 4),)
 
 
 def test_poly_basics():

@@ -1,5 +1,6 @@
 import pytest
 
+from schubert_unions import duality, grassgrid
 from schubert_unions.grassgrid import (
     GrassParams,
     Poly,
@@ -18,9 +19,9 @@ from schubert_unions.optimizer import (
     krull_C,
     krull_dK,
     left_candidate,
-    optimal_unions,
     right_candidate,
     threshold_report,
+    union_table,
 )
 
 from schubert_unions.optimizer import _column_fill, _row_fill, _running_codes
@@ -135,6 +136,14 @@ def reference_optimal_unions(params, guard):
     return best
 
 
+def optimal_unions(params, guard):
+    """span -> (lex-max g_U, set of unions attaining it), read off the
+    maximal groups of `union_table`."""
+    grid, groups = union_table(params, guard)
+    return {K: (g, {SchubertUnion(params, [grid[i] for i in maxima]) for maxima in group})
+            for K, g, maximal, group in groups if maximal}
+
+
 @pytest.mark.parametrize("params", [GrassParams(2, m) for m in range(4, 12)]
                          + [GrassParams(3, m) for m in range(5, 9)] + [GrassParams(4, 8)],
                          ids=repr)
@@ -246,6 +255,11 @@ def test_krull_C_formulas():
     assert krull_C(p, 2 * m - 4 + 1) == float("inf")
 
 
+def test_krull_C_refuses_d_below_minus_one():
+    with pytest.raises(ValueError, match="d=-2 below -1"):
+        krull_C(GrassParams(2, 8), -2)
+
+
 def test_krull_dK_examples():
     assert krull_dK(GrassParams(2, 5), 1) == 0
     assert krull_dK(GrassParams(2, 5), 7) == 4
@@ -355,9 +369,26 @@ def test_candidates_build_no_point_set(monkeypatch):
             assert best_union(p, K)[0] in (left, right)
 
 
+def test_best_union_closes_no_ideal(monkeypatch):
+    # the direction is read off codes, and the winner is built from its maxima
+    expected = {(m, K): best_union(GrassParams(2, m), K)
+                for m in range(3, 11) for K in range(GrassParams(2, m).k + 1)}
+
+    def refuse(*args):
+        raise AssertionError("down_closure called")
+
+    for module in (grassgrid, duality):
+        monkeypatch.setattr(module, "down_closure", refuse)
+    for (m, K), (union, direction) in expected.items():
+        assert best_union(GrassParams(2, m), K) == (union, direction), (m, K)
+
+
 def test_out_of_range_K():
     with pytest.raises(ValueError):
         left_candidate(GrassParams(2, 5), 11)
+    for K in (-1, 11):
+        with pytest.raises(ValueError, match=f"K={K} out of range 0..10"):
+            best_union(GrassParams(2, 5), K)
     with pytest.raises(ValueError):
         krull_dK(GrassParams(2, 5), -1)
 

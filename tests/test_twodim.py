@@ -112,6 +112,12 @@ def test_sigma_refuses_non_integers(m, a, b, bad):
         SigmaSeq(m, a, b)
 
 
+@pytest.mark.parametrize("a,b", [((), ()), ((1,), ()), ((1, 2), (5,))])
+def test_sigma_refuses_unequal_or_empty_halves(a, b):
+    with pytest.raises(ValueError, match="need equally many a's and b's"):
+        SigmaSeq(7, a, b)
+
+
 def test_mset_roundtrip_exhaustive():
     for m in range(3, 9):
         params = GrassParams(2, m)

@@ -514,7 +514,7 @@ def test_relative_bound_guard_comes_first(monkeypatch):
     def refuse(*args):
         raise AssertionError("walk started")
 
-    monkeypatch.setattr(weights, "_walk", refuse)
+    monkeypatch.setattr(weights, "_span_maxima", refuse)
     with pytest.raises(weights.TooLarge, match=f"union has {u.span()} points, guard is 10"):
         relative_bound(u, 2, guard=10)
     with pytest.raises(weights.TooLarge, match=f"union has {u.span()} points, guard is 10"):
