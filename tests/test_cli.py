@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from schubert_unions import cli, duality, gf, grassgrid, optimizer, pluecker, twodim, weights
+from schubert_unions import cli, duality, gf, grassgrid, pluecker, twodim, weights
 from schubert_unions.cli import FORMATS, main
 from schubert_unions.grassgrid import GrassParams, SchubertUnion, enumerate_ideals
 
