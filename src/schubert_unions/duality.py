@@ -9,13 +9,11 @@ q^delta * h_U(1/q).
 
 from __future__ import annotations
 
-import itertools
+from operator import le
 
 from .grassgrid import (
     Poly,
     SchubertUnion,
-    canonicalize,
-    down_closure,
     grand_total,
     lower_covers,
 )
@@ -39,31 +37,38 @@ def dual_union(union: SchubertUnion) -> SchubertUnion:
 
 
 def dual_union_explicit(union: SchubertUnion) -> SchubertUnion:
-    """Dual via the corner recursion, one cycle per assignment of maxima.
+    """Dual via the corner recursion over assignments of the maxima to blocks.
 
-    Each map from the maxima index set into {1..l} produces a cycle
-    (f_1,...,f_l) with f_l = m - max{0, a_{i,1} : i in A_1} and
-    f_j = min(f_{j+1} - 1, m - max{0, a_{i,l+1-j} : i in A_{l+1-j}});
-    cycles with some f_i < i are dropped.  Empty blocks contribute the 0
-    term of the max.  Exponential in the number of maxima; meant as a
-    cross-check of dual_union.
+    An assignment puts each maximum a in one block b of 1..l, and M_b is the
+    largest a_b in block b, 0 for an empty block.  It gives the cycle
+    (f_1,...,f_l) with f_l = m - M_1 and f_j = min(f_{j+1} - 1, m - M_{l+1-j});
+    cycles with some f_j < j are dropped.  f is nonincreasing in every M_b,
+    so a vector (M_1..M_l) above another gives a cycle below that one's, or
+    is dropped with it: the maxima are folded in one at a time, keeping only
+    the componentwise-least vectors, and the dual's maxima are the maximal
+    valid cycles.  It never reads H_U, so it cross-checks dual_union.
     """
     params = union.params
     l, m = params.l, params.m
-    mx = union.maxima
-    s = len(mx)
+    least = [(0,) * l]
+    for a in union.maxima:
+        # sorted, each vector follows every vector below it
+        grown = sorted({M[:b] + (max(M[b], a[b]),) + M[b + 1:] for M in least for b in range(l)})
+        least = []
+        for M in grown:
+            if not any(all(map(le, L, M)) for L in least):
+                least.append(M)
     cycles = set()
-    for assign in itertools.product(range(1, l + 1), repeat=s):
-        f = [0] * (l + 1)
+    for M in least:
+        f = [m + 1]
         for j in range(l, 0, -1):
-            block = l + 1 - j
-            raw = m - max([0] + [mx[i][block - 1] for i in range(s) if assign[i] == block])
-            f[j] = raw if j == l else min(f[j + 1] - 1, raw)
-            if f[j] < j:
+            f.append(min(f[-1] - 1, m - M[l - j]))
+            if f[-1] < j:
                 break
         else:
-            cycles.add(tuple(f[1:]))
-    return canonicalize(params, down_closure(cycles))
+            cycles.add(tuple(f[:0:-1]))
+    return SchubertUnion(params, [c for c in cycles
+                                  if not any(c != d and all(map(le, c, d)) for d in cycles)])
 
 
 def dual_point_count(union: SchubertUnion) -> Poly:

@@ -13,6 +13,8 @@ import functools
 import itertools
 import json
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from math import comb
 
@@ -374,32 +376,45 @@ def canonicalize(params, points):
 
 
 def _walk(points, base):
-    """Every down-set of `points` as (ideal mask, maxima mask, g code).
+    """Every down-set of `points` as (addable mask, ideal mask, maxima mask, g code).
 
     Bit i stands for points[i].  `points` must be a down-set sorted
     lexicographically, a linear extension of the grid order, so each point's
     lower covers precede it and a point added after the current ones lies
-    above none of them.  A frame is (next index, ideal, maxima, g); point
-    j >= next may join when its lower covers are all chosen, which drops them
-    from the maxima, makes j a maximum and adds one cell of j's dimension d
-    to g.  g is g_U(base): at base = q the number of F_q-points; at any base
-    above len(points) the code that `_decode(g, base)` reads back as g_U(q).
-    Frames are pushed in ascending j and popped in descending j, so the sets
-    come in ascending order of their characteristic vectors read as binary
-    numbers, first point most significant.
+    above none of them.  A frame's addable mask holds the points after the
+    last one added whose lower covers are all chosen.  Adding point j drops
+    its lower covers from the maxima, makes j a maximum, adds one cell of j's
+    dimension d to g, and leaves addable the later points of the mask and
+    those upper covers of j (at most l) whose lower covers are now all
+    chosen: each child costs O(l) steps, not a scan of the later points.
+    g is g_U(base): at base = q the number of F_q-points; at the base that
+    `_code_base` gives for the grid, the code that `_decode(g, base)` reads
+    back as g_U(q).  Children are pushed from the low bit up and popped from
+    the high bit down, so the sets come in ascending order of their
+    characteristic vectors read as binary numbers, first point most
+    significant.
     """
     index = {a: i for i, a in enumerate(points)}
     covers = [sum(1 << index[b] for b in lower_covers(a)) for a in points]
+    uppers = [[] for _ in points]
+    for i, cov in enumerate(covers):
+        for j in _picked(range(len(points)), cov):
+            uppers[j].append((1 << i, cov))
     cells = [base ** cell_dimension(a, len(a)) for a in points]
-    n = len(points)
-    stack = [(0, 0, 0, 0)]
+    stack = [(sum(1 << i for i, cov in enumerate(covers) if not cov), 0, 0, 0)]
     while stack:
-        nxt, ideal, maxima, g = frame = stack.pop()
+        addable, ideal, maxima, g = frame = stack.pop()
         yield frame
-        for j in range(nxt, n):
-            cov = covers[j]
-            if ideal & cov == cov:
-                stack.append((j + 1, ideal | 1 << j, maxima & ~cov | 1 << j, g + cells[j]))
+        while addable:
+            low = addable & -addable
+            addable ^= low
+            j = low.bit_length() - 1
+            ideal_j = ideal | low
+            later = addable
+            for bit, cov in uppers[j]:
+                if ideal_j & cov == cov:
+                    later |= bit
+            stack.append((later, ideal_j, maxima & ~covers[j] | low, g + cells[j]))
 
 
 def _span_maxima(points, base):
@@ -408,25 +423,58 @@ def _span_maxima(points, base):
     Every size is reached, since a down-set grows one point at a time.
     """
     best = [-1] * (len(points) + 1)
-    for _nxt, ideal, _maxima, g in _walk(points, base):
+    for _addable, ideal, _maxima, g in _walk(points, base):
         K = ideal.bit_count()
         if g > best[K]:
             best[K] = g
     return best
 
 
-def _decode(code, base) -> Poly:
+# the signed array typecode of each item size; its upper case is the unsigned one
+_TYPECODES = {array(t).itemsize: t for t in "qihb"}
+
+
+def _code_base(top) -> int:
+    """The base 2^(8w) for codes whose coefficients lie in 0..`top`.
+
+    w is the least array item size with 2^(8w-1) above `top`, so each digit
+    is one array item, and a difference of two such codes has digits in
+    -2^(8w-1)..2^(8w-1)-1, which `_decode` reads back signed.
+    """
+    return 1 << 8 * min(w for w in _TYPECODES if top < 1 << (8 * w - 1))
+
+
+def _grid_base(points) -> int:
+    """`_code_base` for the down-sets of `points`: above the most points of one cell dimension."""
+    return _code_base(max(collections.Counter(map(sum, points)).values(), default=0))
+
+
+def _decode(code, base, signed=False) -> Poly:
     """The polynomial whose coefficients are the base-`base` digits of `code`.
 
-    With every coefficient in 0..base-1, a polynomial's value at `base` is
-    this code, and comparing codes as integers orders the polynomials as
-    Poly does: by degree, then by coefficients from the top down.
+    `base` is 2^(8w) (`_code_base`), so the digits are the w-byte items of
+    `code.to_bytes`.  With every coefficient in 0..base-1, a polynomial's
+    value at `base` is this code, and comparing codes as integers orders the
+    polynomials as Poly does: by degree, then by coefficients from the top
+    down.  `signed` reads digits in -base/2..base/2-1, as in a difference of
+    two codes: adding base/2 to every digit makes them all nonnegative with
+    no carry, and XOR with the same word turns each into its two's
+    complement.
     """
-    coeffs = []
-    while code:
-        code, c = divmod(code, base)
-        coeffs.append(c)
-    return Poly(coeffs)
+    size = base.bit_length() // 8
+    typecode = _TYPECODES[size]
+    if signed:
+        # a digit to spare: a balanced code can need one more digit than |code|
+        length = abs(code).bit_length() // (8 * size) + 2
+        half = int.from_bytes((base >> 1).to_bytes(size, "little") * length, "little")
+        code = (code + half) ^ half
+    else:
+        length = -(-code.bit_length() // (8 * size))
+        typecode = typecode.upper()
+    digits = array(typecode, code.to_bytes(length * size, "little"))
+    if sys.byteorder == "big":
+        digits.byteswap()
+    return Poly(digits)
 
 
 def _picked(points, mask):
@@ -443,10 +491,10 @@ def down_sets(points):
     """Yield every downward-closed subset of `points`, as a frozenset.
 
     `points` must be a down-set sorted lexicographically (see `_walk`).  Each
-    set costs one stack frame, one bitmask test for each point after the last
-    one it added, and the frozenset: O(len(points)) steps per set.
+    set costs one stack frame, O(l) steps to find what its children may add,
+    and the frozenset.
     """
-    for _nxt, ideal, _maxima, _g in _walk(points, 1):
+    for _addable, ideal, _maxima, _g in _walk(points, 1):
         yield frozenset(_picked(points, ideal))
 
 
@@ -467,8 +515,8 @@ def enumerate_ideals(params, guard=DEFAULT_IDEAL_GUARD):
     walk's g code; its point set is built only if `ideal()` is called.
     """
     grid = _guarded_grid(params, guard)
-    base = len(grid) + 1
-    for _nxt, _ideal, maxima, g in _walk(grid, base):
+    base = _grid_base(grid)
+    for _addable, _ideal, maxima, g in _walk(grid, base):
         yield SchubertUnion._build(params, tuple(_picked(grid, maxima)), None,
                                    _decode(g, base))
 

@@ -19,12 +19,13 @@ from .grassgrid import (
     GrassParams,
     Poly,
     SchubertUnion,
+    _code_base,
     _decode,
+    _grid_base,
     _guarded_grid,
     _picked,
     _span_maxima,
     _walk,
-    grand_total,
 )
 from .twodim import MSet, _require_l2, mset_to_union
 
@@ -87,12 +88,16 @@ def _direction(g_left, g_right) -> str:
     return "LR"
 
 
-def _running_codes(m, fill):
-    """g(B) of the first K cells of a fill order of G(2,m), for K = 0..k.
+def _l2_base(m):
+    """The code base of G(2,m): its largest cell count, on the middle diagonal, is m // 2."""
+    return _code_base(m // 2)
 
-    B = k + 1 exceeds every coefficient, so `_decode(code, B)` is g.
+
+def _running_codes(m, fill, base):
+    """g(base) of the first K cells of a fill order of G(2,m), for K = 0..k.
+
+    With `base` from `_l2_base`, `_decode(code, base)` is g.
     """
-    base = m * (m - 1) // 2 + 1
     cells = [base ** d for d in range(2 * m - 3)]
     g = 0
     out = [g]
@@ -102,12 +107,10 @@ def _running_codes(m, fill):
     return out
 
 
-def _l2_best(m):
-    """(code of the larger g, direction) of the two candidates, for K = 0..k.
-
-    The codes are in base k + 1 (see `_running_codes`).
-    """
-    for g_left, g_right in zip(_running_codes(m, _column_fill), _running_codes(m, _row_fill)):
+def _l2_best(m, base):
+    """(code of the larger g, direction) of the two candidates, for K = 0..k."""
+    for g_left, g_right in zip(_running_codes(m, _column_fill, base),
+                               _running_codes(m, _row_fill, base)):
         direction = _direction(g_left, g_right)
         yield (g_right if direction == "R" else g_left), direction
 
@@ -115,7 +118,7 @@ def _l2_best(m):
 def directions(params):
     """The l=2 direction row: 'L', 'R' or 'LR' for r = 0..k, no polynomial built."""
     _require_l2(params)
-    return [direction for _g, direction in _l2_best(params.m)][::-1]
+    return [direction for _g, direction in _l2_best(params.m, _l2_base(params.m))][::-1]
 
 
 @dataclass(frozen=True)
@@ -145,17 +148,23 @@ class BoundTable:
         return out
 
 
-def _table_from_best(params, best_by_span):
+def _table_from_codes(params, base, best, direction_row):
+    """The table from the largest code of each span K = 0..k, in `base`.
+
+    `best[k]` is the code of the whole grid, n(base).  J_r is `best[k - r]`;
+    D_r = n - J_r has no borrows, since each coefficient of J_r is at most
+    n's, and E_r = D_r - D_{r-1} = J_{r-1} - J_r is decoded signed.  Each
+    printed polynomial is decoded once, and no Poly arithmetic is done.
+    """
     k = params.k
-    n = grand_total(params)
+    n = best[k]
     rows = []
-    prev_D = Poly.zero()
-    for r in range(0, k + 1):
-        J, direction = best_by_span[k - r]
-        D = n - J
-        E = None if r == 0 else D - prev_D
-        rows.append(BoundRow(r, J, D, E, direction))
-        prev_D = D
+    prev_J = None
+    for r, direction in enumerate(direction_row):
+        J = best[k - r]
+        E = None if r == 0 else _decode(prev_J - J, base, signed=True)
+        rows.append(BoundRow(r, _decode(J, base), _decode(n - J, base), E, direction))
+        prev_J = J
     return BoundTable(params, tuple(rows))
 
 
@@ -163,15 +172,15 @@ def bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:
     """J_r / D_r / E_r for r = 0..k.
 
     For l = 2 each spanning dimension is settled by the two candidates and
-    the direction is recorded.  Their g(k+1) for every K comes from one pass
+    the direction is recorded.  Their codes for every K come from one pass
     over each candidate's fill order, adding one cell at a time: O(k) integer
-    steps, no unions built, and one J decoded per row.  Otherwise every ideal
-    is enumerated (guarded).
+    steps and no unions built.  Otherwise every ideal is enumerated
+    (guarded).
     """
     if params.l == 2:
-        base = params.k + 1
-        return _table_from_best(params, [(_decode(g, base), direction)
-                                         for g, direction in _l2_best(params.m)])
+        base = _l2_base(params.m)
+        best, direction_row = zip(*_l2_best(params.m, base))
+        return _table_from_codes(params, base, best, direction_row[::-1])
     return exhaustive_bound_table(params, guard)
 
 
@@ -184,13 +193,13 @@ def union_table(params, guard=DEFAULT_IDEAL_GUARD):
     with equal codes are adjacent and one Poly is decoded per group.
     """
     grid = _guarded_grid(params, guard)
-    base = len(grid) + 1
+    base = _grid_base(grid)
     indices = range(len(grid))
     rows = sorted([(ideal.bit_count(), g, _picked(indices, maxima))
-                   for _nxt, ideal, maxima, g in _walk(grid, base)])
+                   for _addable, ideal, maxima, g in _walk(grid, base)])
     runs = [(K, g, [maxima for _K, _g, maxima in run])
             for (K, g), run in itertools.groupby(rows, key=operator.itemgetter(0, 1))]
-    best = [0] * base
+    best = [0] * (len(grid) + 1)
     for K, g, _run in runs:
         best[K] = g
     return grid, [(K, _decode(g, base), g == best[K], run) for K, g, run in runs]
@@ -200,12 +209,13 @@ def exhaustive_bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:
     """J_r / D_r / E_r by sweeping every order ideal; any l, guarded.
 
     The walk's g codes are compared as integers, which is the lex order of
-    the polynomials (see `grassgrid._walk`); one J is decoded per span.
+    the polynomials (see `grassgrid._walk`); the table is read from the
+    largest code of each span.
     """
     grid = _guarded_grid(params, guard)
-    base = len(grid) + 1
-    return _table_from_best(params, [(_decode(g, base), None)
-                                     for g in _span_maxima(grid, base)])
+    base = _grid_base(grid)
+    return _table_from_codes(params, base, _span_maxima(grid, base),
+                             [None] * (len(grid) + 1))
 
 
 def cardinality(point) -> int:

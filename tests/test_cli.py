@@ -737,8 +737,9 @@ def test_dual_json_closes_one_ideal(capsys, monkeypatch):
     calls = []
     closure = grassgrid.down_closure
     counted = lambda points: calls.append(1) or closure(points)  # noqa: E731
-    monkeypatch.setattr(grassgrid, "down_closure", counted)
-    monkeypatch.setattr(duality, "down_closure", counted)
+    for module in (grassgrid, duality):
+        if hasattr(module, "down_closure"):
+            monkeypatch.setattr(module, "down_closure", counted)
     code, out, _ = run_cli(["dual", "--l", "3", "--m", "7", "--union", "[[1,5,6],[2,4,7]]",
                             "--format", "json"], capsys)
     data = json.loads(out)
@@ -794,7 +795,8 @@ def test_encode_closes_no_ideal(capsys, monkeypatch, fmt):
         raise AssertionError("down_closure called")
 
     for module in (grassgrid, duality):
-        monkeypatch.setattr(module, "down_closure", refuse)
+        if hasattr(module, "down_closure"):
+            monkeypatch.setattr(module, "down_closure", refuse)
     for u, dual in zip(unions, duals):
         argv = ["encode", "--l", "2", "--m", str(u.params.m),
                 "--union", json.dumps([list(a) for a in u.maxima]), "--format", fmt]
@@ -825,6 +827,18 @@ def test_dual_json_skips_explicit_dual(capsys, monkeypatch):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0 and len(calls) == 1
     assert "(2,7) ∪ (3,4)" in out
+
+
+def test_dual_markdown_with_40_maxima_matches_json(capsys):
+    # the explicit dual folds in 40 maxima, where 2^40 assignments would not end
+    maxima = [[i, 100 - i - i // 3] for i in range(1, 41)]
+    argv = ["dual", "--l", "2", "--m", "100", "--union", json.dumps(maxima)]
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0 and len(json.loads(out)["maxima"]) == 40
+    label = " ∪ ".join("(" + ",".join(map(str, a)) + ")" for a in json.loads(out)["dual_maxima"])
+    code, out, _ = run_cli(argv, capsys)
+    row = [cell.strip() for cell in out.splitlines()[-1].split("|")]
+    assert code == 0 and row[2] == row[3] == label
 
 
 def test_parser_built_once(capsys, monkeypatch):

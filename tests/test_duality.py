@@ -1,6 +1,7 @@
+import itertools
+
 import pytest
 
-from schubert_unions import duality
 from schubert_unions.duality import (
     ReciprocityViolation,
     dual_point_count,
@@ -12,6 +13,8 @@ from schubert_unions.grassgrid import (
     GrassParams,
     Poly,
     SchubertUnion,
+    canonicalize,
+    down_closure,
     enumerate_ideals,
     full_grid,
     grand_total,
@@ -19,6 +22,7 @@ from schubert_unions.grassgrid import (
 )
 
 from table_fixtures import G36_DUAL_PAIRS
+from test_twodim import refuse_canonicalize
 
 
 def test_rev_examples():
@@ -75,12 +79,53 @@ def test_dual_explicit_agrees_exhaustively():
             assert dual_union_explicit(u) == dual_union(u)
 
 
+def reference_dual_union_explicit(union):
+    """dual_union_explicit as it was when it tried all l^s assignments of the
+    s maxima to blocks and closed the cycles with canonicalize."""
+    params = union.params
+    l, m = params.l, params.m
+    mx = union.maxima
+    s = len(mx)
+    cycles = set()
+    for assign in itertools.product(range(1, l + 1), repeat=s):
+        f = [0] * (l + 1)
+        for j in range(l, 0, -1):
+            block = l + 1 - j
+            raw = m - max([0] + [mx[i][block - 1] for i in range(s) if assign[i] == block])
+            f[j] = raw if j == l else min(f[j + 1] - 1, raw)
+            if f[j] < j:
+                break
+        else:
+            cycles.add(tuple(f[1:]))
+    return canonicalize(params, down_closure(cycles))
+
+
+EXPLICIT_GRIDS = [GrassParams(l, m) for m in range(2, 36) for l in range(1, m)
+                  if GrassParams(l, m).k <= 35]
+
+
+@pytest.mark.parametrize("params", EXPLICIT_GRIDS, ids=repr)
+def test_dual_explicit_matches_assignment_reference(params):
+    for u in enumerate_ideals(params, guard=params.k):
+        assert dual_union_explicit(u) == reference_dual_union_explicit(u), u
+
+
+def test_dual_explicit_tries_no_assignments(monkeypatch):
+    # the least block-maxima vectors are folded in; the l^s assignments are
+    # never listed
+    def refuse(*args, **kwargs):
+        raise AssertionError("itertools.product called")
+
+    monkeypatch.setattr(itertools, "product", refuse)
+    p = GrassParams(3, 7)
+    u = SchubertUnion(p, [(1, 5, 7), (2, 4, 7), (3, 4, 6)])
+    assert dual_union_explicit(u) == dual_union(u)
+
+
 def test_dual_union_reads_the_maxima(monkeypatch):
     # the maxima come from H_U's minimal points: the dual's point set is
     # neither rebuilt nor validated nor closed again
-    def no_canonicalize(*args):
-        raise AssertionError("dual_union went through canonicalize")
-    monkeypatch.setattr(duality, "canonicalize", no_canonicalize)
+    refuse_canonicalize(monkeypatch)
     for params in (GrassParams(1, 4), GrassParams(2, 5), GrassParams(3, 6)):
         for u in enumerate_ideals(params):
             d = dual_union(u)

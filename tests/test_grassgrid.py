@@ -11,7 +11,9 @@ from schubert_unions.grassgrid import (
     Poly,
     SchubertUnion,
     TooLarge,
+    _code_base,
     _decode,
+    _grid_base,
     _picked,
     _walk,
     canonicalize,
@@ -496,8 +498,8 @@ def test_enumerate_ideals_never_compares_points(monkeypatch):
                          ids=repr)
 def test_walk_codes_decode_to_cell_counts(params):
     grid = full_grid(params)
-    base = len(grid) + 1
-    for _nxt, ideal, _maxima, g in _walk(grid, base):
+    base = _grid_base(grid)
+    for _addable, ideal, _maxima, g in _walk(grid, base):
         pts = list(_picked(grid, ideal))
         assert _decode(g, base) == cell_count(pts, params.l), pts
         assert _decode(g, base)(1) == ideal.bit_count() == len(pts), pts
@@ -509,8 +511,8 @@ def test_walk_code_gives_span_and_krull(params):
     # the enumerate table reads the span as g_U(1) and Krull as deg g_U, and
     # the maxima as grid indices
     grid = full_grid(params)
-    base = len(grid) + 1
-    for _nxt, ideal, maxima, g in _walk(grid, base):
+    base = _grid_base(grid)
+    for _addable, ideal, maxima, g in _walk(grid, base):
         poly = _decode(g, base)
         indices = _picked(range(len(grid)), maxima)
         assert indices == [i for i in range(len(grid)) if maxima >> i & 1]
@@ -519,16 +521,83 @@ def test_walk_code_gives_span_and_krull(params):
                                   default=-1)
 
 
+def reference_walk(points, base):
+    """`_walk` as it was when a frame held the next index to try: each frame
+    scans every later point for one whose lower covers are all chosen."""
+    index = {a: i for i, a in enumerate(points)}
+    covers = [sum(1 << index[b] for b in grassgrid.lower_covers(a)) for a in points]
+    cells = [base ** cell_dimension(a, len(a)) for a in points]
+    n = len(points)
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        nxt, ideal, maxima, g = frame = stack.pop()
+        yield frame
+        for j in range(nxt, n):
+            cov = covers[j]
+            if ideal & cov == cov:
+                stack.append((j + 1, ideal | 1 << j, maxima & ~cov | 1 << j, g + cells[j]))
+
+
+def assert_walks_agree(points, base):
+    # (ideal, maxima, g) frame by frame, in order
+    frames = [frame[1:] for frame in _walk(points, base)]
+    assert frames == [frame[1:] for frame in reference_walk(points, base)]
+
+
+WALK_GRIDS = [GrassParams(l, m) for m in range(2, 57) for l in range(1, m)
+              if GrassParams(l, m).k <= 56] + [GrassParams(4, 8)]
+
+
+@pytest.mark.parametrize("params", WALK_GRIDS, ids=repr)
+def test_walk_matches_index_scan_reference(params):
+    grid = full_grid(params)
+    assert_walks_agree(grid, _grid_base(grid))
+
+
+def test_walk_matches_index_scan_reference_on_sub_down_sets():
+    # the walk of weights --union: the down-sets of G_U, in base q
+    rng = random.Random(28)
+    grids = [GrassParams(2, 12), GrassParams(3, 8), GrassParams(3, 9), GrassParams(4, 9)]
+    checked = 0
+    while checked < 50:
+        grid = full_grid(rng.choice(grids))
+        ground = sorted(down_closure(rng.sample(grid, rng.randrange(1, 5))))
+        if len(ground) <= 36:
+            assert_walks_agree(ground, rng.choice([2, 3, 4, _grid_base(grid)]))
+            checked += 1
+
+
+def test_walk_frame_holds_addable_points():
+    # a frame's mask holds exactly the points after the last one added whose
+    # lower covers are all chosen
+    grid = full_grid(GrassParams(3, 7))
+    covers = [set(grassgrid.lower_covers(a)) for a in grid]
+    for addable, ideal, _maxima, _g in _walk(grid, 1):
+        chosen = set(_picked(grid, ideal))
+        last = ideal.bit_length() - 1
+        expected = [j for j in range(last + 1, len(grid)) if covers[j] <= chosen]
+        assert _picked(range(len(grid)), addable) == expected
+
+
 def test_decode_order_is_lex_order():
     # a code's integer order is Poly's order while every coefficient is below the base
     rng = random.Random(21)
-    base = 7
+    base = 256
     polys = [Poly([rng.randrange(base) for _ in range(rng.randrange(5))]) for _ in range(300)]
     for p in polys:
         code = p(base)
         assert _decode(code, base) == p
     for p, r in itertools.combinations(polys, 2):
         assert (p(base) < r(base)) == (p < r) and (p(base) == r(base)) == (p == r)
+
+
+def test_code_base_is_least_power_of_256_above_twice_the_top():
+    assert [_code_base(top) for top in (0, 127, 128, 2**15 - 1, 2**15, 2**31, 2**63 - 1)] == \
+        [2**8, 2**8, 2**16, 2**16, 2**32, 2**64, 2**64]
+    # the largest count of one cell dimension
+    assert _grid_base(full_grid(GrassParams(4, 8))) == 2**8
+    assert _grid_base([(i,) for i in range(1, 300)]) == 2**8
+    assert _grid_base(full_grid(GrassParams(2, 300))) == 2**16
 
 
 def test_enumerated_unions_build_no_point_set():

@@ -7,9 +7,15 @@ from schubert_unions.grassgrid import (
     SchubertUnion,
     _decode,
     canonicalize,
+    cell_count,
+    down_sets,
     enumerate_ideals,
+    full_grid,
+    grand_total,
 )
 from schubert_unions.optimizer import (
+    BoundRow,
+    BoundTable,
     admissible,
     best_union,
     bound_table,
@@ -24,7 +30,7 @@ from schubert_unions.optimizer import (
     union_table,
 )
 
-from schubert_unions.optimizer import _column_fill, _row_fill, _running_codes
+from schubert_unions.optimizer import _column_fill, _l2_base, _row_fill, _running_codes
 
 from table_fixtures import DIRECTIONS, E_EXPONENTS
 from test_twodim import refuse_canonicalize
@@ -104,15 +110,22 @@ def test_direction_tables():
 def test_running_counts_match_candidates(m):
     # the l=2 table adds one cell at a time; the candidate unions are the reference
     p = GrassParams(2, m)
-    base = p.k + 1
-    left = [_decode(g, base) for g in _running_codes(m, _column_fill)]
-    right = [_decode(g, base) for g in _running_codes(m, _row_fill)]
+    base = _l2_base(m)
+    left = [_decode(g, base) for g in _running_codes(m, _column_fill, base)]
+    right = [_decode(g, base) for g in _running_codes(m, _row_fill, base)]
     assert len(left) == len(right) == p.k + 1
     table = bound_table(p)
     for K in range(p.k + 1):
         lu, ru = left_candidate(p, K), right_candidate(p, K)
         assert (left[K], right[K]) == (lu.point_count(), ru.point_count())
         assert table.row(p.k - K).J == max(left[K], right[K])
+
+
+def test_l2_base_reads_the_largest_cell_count():
+    # the middle diagonal of G(2,m) holds m // 2 cells, more than any other
+    for m in range(3, 80):
+        assert max(grand_total(GrassParams(2, m)).coeffs) == m // 2, m
+    assert (_l2_base(254), _l2_base(255), _l2_base(256)) == (2**8, 2**8, 2**16)
 
 
 def test_directions_match_bound_table():
@@ -180,6 +193,54 @@ def test_bound_table_monotone_and_edges():
             assert table.row(r).J >= table.row(r + 1).J
             if r >= 1:
                 assert table.row(r).E == table.row(r).D - table.row(r - 1).D
+
+
+def reference_table_from_best(params, best_by_span):
+    """The table as it was built before it was read from codes: D = n - J
+    and E = D_r - D_{r-1} in Poly arithmetic."""
+    k = params.k
+    n = grand_total(params)
+    rows = []
+    prev_D = Poly.zero()
+    for r in range(0, k + 1):
+        J, direction = best_by_span[k - r]
+        D = n - J
+        E = None if r == 0 else D - prev_D
+        rows.append(BoundRow(r, J, D, E, direction))
+        prev_D = D
+    return BoundTable(params, tuple(rows))
+
+
+def running_polys(m, fill):
+    """g of the first K cells of a fill order, K = 0..k, counted cell by cell."""
+    counts = [0] * (2 * m - 3)
+    out = [Poly(counts)]
+    for x, y in fill(m):
+        counts[x + y - 3] += 1
+        out.append(Poly(counts))
+    return out
+
+
+@pytest.mark.parametrize("m", range(3, 41))
+def test_bound_table_matches_poly_reference(m):
+    params = GrassParams(2, m)
+    best = []
+    for left, right in zip(running_polys(m, _column_fill), running_polys(m, _row_fill)):
+        direction = "L" if left > right else "R" if left < right else "LR"
+        best.append((right if direction == "R" else left, direction))
+    assert bound_table(params) == reference_table_from_best(params, best)
+
+
+@pytest.mark.parametrize("params", [GrassParams(3, m) for m in range(6, 10)]
+                         + [GrassParams(4, 8)], ids=repr)
+def test_exhaustive_bound_table_matches_poly_reference(params):
+    best = [None] * (params.k + 1)
+    for pts in down_sets(full_grid(params)):
+        g = cell_count(pts, params.l)
+        if best[len(pts)] is None or g > best[len(pts)]:
+            best[len(pts)] = g
+    assert exhaustive_bound_table(params, guard=params.k) == \
+        reference_table_from_best(params, [(J, None) for J in best])
 
 
 def test_bound_table_matches_exhaustive():
@@ -378,7 +439,8 @@ def test_best_union_closes_no_ideal(monkeypatch):
         raise AssertionError("down_closure called")
 
     for module in (grassgrid, duality):
-        monkeypatch.setattr(module, "down_closure", refuse)
+        if hasattr(module, "down_closure"):
+            monkeypatch.setattr(module, "down_closure", refuse)
     for (m, K), (union, direction) in expected.items():
         assert best_union(GrassParams(2, m), K) == (union, direction), (m, K)
 

@@ -1,9 +1,11 @@
 """Poly's text form on random polynomials: the same bytes as the term-by-term
-formatter it replaced, and parse() reads it back."""
+formatter it replaced, and parse() reads it back.  Codes of polynomials in a
+`_code_base` base decode back to them, and a difference of two codes decodes
+signed to the Poly difference."""
 
 import pytest
 
-from schubert_unions.grassgrid import Poly
+from schubert_unions.grassgrid import Poly, _code_base, _decode
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -42,3 +44,20 @@ def test_str_matches_reference_and_parses_back(coeffs):
     p = Poly(coeffs)
     assert str(p) == reference_str(p)
     assert Poly.parse(str(p)) == p
+
+
+# largest coefficients at and around every item-size boundary, and any
+TOPS = st.one_of(st.sampled_from([0, 1, 127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1]),
+                 st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_signed_decode_matches_poly_subtraction(data):
+    top = data.draw(TOPS)
+    coeffs = st.lists(st.one_of(st.sampled_from([0, top]), st.integers(0, top)), max_size=25)
+    p, r = Poly(data.draw(coeffs)), Poly(data.draw(coeffs))
+    base = _code_base(top)
+    assert top < base // 2
+    assert _decode(p(base), base) == p
+    assert _decode(p(base) - r(base), base, signed=True) == p - r
