@@ -1,13 +1,15 @@
 """Command-line surface: tables, duals, encodings, bounds, codes, experiments.
 
 Exit codes: 0 success, 2 invalid arguments, 3 resource guard exceeded, 1 when
-the reader closes stdout before the output ends.
+the output cannot be written (one error line) or the reader closes stdout
+before the output ends (no message).
 Every command is deterministic: identical flags give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -63,8 +65,7 @@ def _mset_str(elements):
     return "{" + ",".join(map(str, elements)) + "}" if elements else "∅"
 
 
-def cmd_enumerate(args, out):
-    params = GrassParams(args.l, args.m)
+def cmd_enumerate(params, args, out):
     grid, groups = optimizer.union_table(params, args.guard)
     texts = ["(" + ",".join(map(str, a)) + ")" for a in grid]
     table = []
@@ -81,11 +82,9 @@ def cmd_enumerate(args, out):
     headers = ["U", "Span", "Krull", "M_U", "Points", "Maximal"] if params.l == 2 \
         else ["U", "Span", "Krull", "Points", "Maximal"]
     _emit_table(headers, table, args.format, out)
-    return 0
 
 
-def cmd_dual(args, out):
-    params = GrassParams(args.l, args.m)
+def cmd_dual(params, args, out):
     u = _parse_union(params, args.union)
     dual = duality.dual_union(u)
     # the spans of a union and its dual add up to k: no point set for the dual
@@ -99,11 +98,9 @@ def cmd_dual(args, out):
                  span, params.k - span)]
         _emit_table(["U", "Dual", "Dual (explicit)", "Span", "Dual span"],
                     rows, args.format, out)
-    return 0
 
 
-def cmd_encode(args, out):
-    params = GrassParams(args.l, args.m)
+def cmd_encode(params, args, out):
     u = _parse_union(params, args.union)
     ms = twodim.union_to_mset(u)
     # the complement is the dual's M-set: the dual is built from its maxima
@@ -119,11 +116,9 @@ def cmd_encode(args, out):
         ("dual", dual.label()),
     ]
     _emit_table(["field", "value"], rows, args.format, out)
-    return 0
 
 
-def cmd_bounds(args, out):
-    params = GrassParams(args.l, args.m)
+def cmd_bounds(params, args, out):
     table = optimizer.bound_table(params, args.guard)
     headers = ["r", "J_r", "D_r", "E_r"]
     if params.l == 2:
@@ -135,11 +130,9 @@ def cmd_bounds(args, out):
             cells.append(row.direction or "-")
         rows.append(tuple(cells))
     _emit_table(headers, rows, args.format, out)
-    return 0
 
 
-def cmd_directions(args, out):
-    params = GrassParams(args.l, args.m)
+def cmd_directions(params, args, out):
     dirs = optimizer.directions(params)
     if args.format == "json":
         out.write(json.dumps({"l": 2, "m": params.m, "directions": dirs}) + "\n")
@@ -147,29 +140,24 @@ def cmd_directions(args, out):
         headers = ["Codim"] + [str(r) for r in range(params.k + 1)]
         rows = [tuple(["Direction"] + dirs)]
         _emit_table(headers, rows, args.format, out)
-    return 0
 
 
-def cmd_krull(args, out):
-    params = GrassParams(args.l, args.m)
+def cmd_krull(params, args, out):
     ks = [args.K] if args.K is not None else range(params.k + 1)
     rows = []
     for K in ks:
         d = optimizer.krull_dK(params, K)
         rows.append((K, d, optimizer.krull_C(params, d)))
     _emit_table(["K", "d(K)", "C(d(K))"], rows, args.format, out)
-    return 0
 
 
-def cmd_genmatrix(args, out):
-    params = GrassParams(args.l, args.m)
+def cmd_genmatrix(params, args, out):
     if args.q is None:
         raise ValueError("genmatrix needs --q")
     field = gf.Field(args.q)
     union = _parse_union(params, args.union) if args.union else None
     genmat = pluecker.generator_matrix(field, params, union, args.point_guard)
     (pluecker.write_binary if args.binary else pluecker.write_text)(genmat, out)
-    return 0
 
 
 def _parse_r_range(text, k):
@@ -186,8 +174,19 @@ def _parse_r_range(text, k):
     return wanted
 
 
-def cmd_weights(args, out):
-    params = GrassParams(args.l, args.m)
+def _oracle_matrix(params, q, rs, budget, point_guard):
+    """The full code's generator matrix over GF(q), once the oracle sweeps at
+    every r in `rs` are checked against the budget.
+
+    The field comes first, so a bad q is refused (exit 2) before the budget
+    (exit 3), and no point is walked for a refused sweep.
+    """
+    field = gf.Field(q)
+    weights.check_oracle_budget(params.k, q, rs, budget)
+    return pluecker.generator_matrix(field, params, None, point_guard)
+
+
+def cmd_weights(params, args, out):
     if args.q is not None:
         gf.prime_power(args.q)
     if args.union:
@@ -209,16 +208,15 @@ def cmd_weights(args, out):
         elif args.q is None:
             raise ValueError("--oracle needs --q")
         else:
-            field = gf.Field(args.q)
-            weights.check_oracle_budget(params.k, args.q, wanted, args.oracle_budget)
-            genmat = pluecker.generator_matrix(field, params, None, args.point_guard)
+            genmat = _oracle_matrix(params, args.q, wanted, args.oracle_budget,
+                                    args.point_guard)
             records = [weights.WeightRecord(
-                r, weights.oracle_dr(field, genmat, r, args.oracle_budget),
+                r, weights.oracle_dr(genmat.field, genmat, r, args.oracle_budget),
                 source="Oracle") for r in wanted]
     if args.format == "json":
         dicts = [rec.as_dict() for rec in records]
         out.write(json.dumps(dicts if head is None else {**head, "records": dicts}) + "\n")
-        return 0
+        return
     if head is not None:
         out.write(" ".join(f"{key}={value}" for key, value in head.items()) + "\n")
     rows = [(rec.r,
@@ -227,7 +225,6 @@ def cmd_weights(args, out):
              rec.upper if rec.value is None else "-",
              rec.source) for rec in records]
     _emit_table(["r", "d_r", "lower", "upper", "source"], rows, args.format, out)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +264,9 @@ def experiment_q9(params, guard):
 
 def experiment_q4(params, q, budget, point_guard):
     """For each r: does a dual of some maximizing section attain H_{k-r}?"""
-    field = gf.Field(q)
-    weights.check_oracle_budget(params.k, q, range(1, params.k), budget)
-    genmat = pluecker.generator_matrix(field, params, None, point_guard)
+    genmat = _oracle_matrix(params, q, range(1, params.k), budget, point_guard)
     k = genmat.k
-    found = {r: _max_annihilated_with_witness(field, genmat, r) for r in range(1, k)}
+    found = {r: _max_annihilated_with_witness(genmat.field, genmat, r) for r in range(1, k)}
     # the full code's columns are the Pluecker vectors of all points
     results = [(r, best, genmat.oracle.dual_section(rows), found[k - r][0])
                for r, (best, rows) in found.items()]
@@ -279,13 +274,14 @@ def experiment_q4(params, q, budget, point_guard):
     return ("affirmative (for the sections found)" if ok else "negative"), results
 
 
+# its own function because perfbench/spans.py traces it and
+# tests/test_spans.py pins its signature; it goes with ROADMAP item 3
 def _max_annihilated_with_witness(field, genmat, r):
     """(H_r, a maximizing basis of functionals) for the full code's matrix."""
     return genmat.oracle.sweep(r)
 
 
-def cmd_experiment(args, out):
-    params = GrassParams(args.l, args.m)
+def cmd_experiment(params, args, out):
     if args.question == "Q3":
         verdict, detail = experiment_q3(params)
     elif args.question == "Q8":
@@ -307,7 +303,6 @@ def cmd_experiment(args, out):
             for r, hr, dual_count, target in detail:
                 out.write(f"  r={r}: H_r={hr}, dual section={dual_count},"
                           f" H_(k-r)={target}\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +314,10 @@ def build_parser():
         description="Schubert unions in G(l,m): tables, duality, codes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_q=False):
+    def command(name, handler, help, need_q=False):
+        """A subcommand that runs `handler(params, args, out)`."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--l", type=int, required=True)
         p.add_argument("--m", type=int, required=True)
         if need_q:
@@ -328,37 +326,29 @@ def build_parser():
         p.add_argument("--out", default=None)
         p.add_argument("--guard", type=int, default=None)
         p.add_argument("--config", default=None)
+        return p
 
-    p = sub.add_parser("enumerate", help="all Schubert unions with their data")
-    common(p)
-    p = sub.add_parser("dual", help="dual of a union")
-    common(p)
+    command("enumerate", cmd_enumerate, "all Schubert unions with their data")
+    p = command("dual", cmd_dual, "dual of a union")
     p.add_argument("--union", required=True, help='maxima as JSON, e.g. "[[3,5]]"')
-    p = sub.add_parser("encode", help="M_U / sigma_U encodings (l=2)")
-    common(p)
+    p = command("encode", cmd_encode, "M_U / sigma_U encodings (l=2)")
     p.add_argument("--union", required=True)
-    p = sub.add_parser("bounds", help="J_r / D_r / E_r table")
-    common(p)
-    p = sub.add_parser("directions", help="L/R/LR table (l=2)")
-    common(p)
-    p = sub.add_parser("krull", help="maximal Krull dimension d(K)")
-    common(p)
+    command("bounds", cmd_bounds, "J_r / D_r / E_r table")
+    command("directions", cmd_directions, "L/R/LR table (l=2)")
+    p = command("krull", cmd_krull, "maximal Krull dimension d(K)")
     p.add_argument("--K", type=int, default=None)
-    p = sub.add_parser("genmatrix", help="generator matrix export")
-    common(p, need_q=True)
+    p = command("genmatrix", cmd_genmatrix, "generator matrix export", need_q=True)
     p.add_argument("--union", default=None)
     p.add_argument("--binary", action="store_true")
     p.add_argument("--point-guard", type=int, default=None)
-    p = sub.add_parser("weights", help="weight hierarchy records")
-    common(p, need_q=True)
+    p = command("weights", cmd_weights, "weight hierarchy records", need_q=True)
     p.add_argument("--union", default=None)
     p.add_argument("--r-range", default=None)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--oracle-budget", type=int, default=None)
     p.add_argument("--point-guard", type=int, default=None)
-    p = sub.add_parser("experiment", help="run a question check")
+    p = command("experiment", cmd_experiment, "run a question check", need_q=True)
     p.add_argument("question", choices=("Q3", "Q4", "Q8", "Q9"))
-    common(p, need_q=True)
     p.add_argument("--oracle-budget", type=int, default=None)
     p.add_argument("--point-guard", type=int, default=None)
     return parser
@@ -418,37 +408,34 @@ def _open_out(path, mode):
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-HANDLERS = {
-    "enumerate": cmd_enumerate,
-    "dual": cmd_dual,
-    "encode": cmd_encode,
-    "bounds": cmd_bounds,
-    "directions": cmd_directions,
-    "krull": cmd_krull,
-    "genmatrix": cmd_genmatrix,
-    "weights": cmd_weights,
-    "experiment": cmd_experiment,
-}
+def _drop_stdout():
+    """Send what stdout still buffers to devnull, so that the flush at exit
+    neither fails nor reports."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         _resolve_defaults(args)
-        handler = HANDLERS[args.command]
         binary = getattr(args, "binary", False)
-        if args.out:
-            with _open_out(args.out, "wb" if binary else "w") as fh:
-                return handler(args, fh)
         stream = sys.stdout.buffer if binary else sys.stdout
-        rc = handler(args, stream)
-        stream.flush()  # a reader that left shows up here, not at exit
-        return rc
+        with (_open_out(args.out, "wb" if binary else "w") if args.out
+              else contextlib.nullcontext(stream)) as out:
+            args.handler(GrassParams(args.l, args.m), args, out)
+            out.flush()  # a reader that left shows up here, not at exit
+        return 0
     except BrokenPipeError:
-        # the reader closed stdout (`| head`): send what is still buffered
-        # to devnull, so that the flush at exit neither fails nor reports
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        # the reader closed stdout (`| head`): no message
+        _drop_stdout()
+        return 1
+    except OSError as exc:
+        # a failed write: the disk is full, or the device refuses
+        if not args.out:
+            _drop_stdout()
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 1
     except (TooLarge, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from .grassgrid import (
     SchubertUnion,
     grand_total,
     lower_covers,
+    upper_covers,
 )
 
 
@@ -29,11 +30,21 @@ def rev(params, alpha):
 
 
 def dual_union(union: SchubertUnion) -> SchubertUnion:
-    """Dual union, from its maxima: the rev images of H_U's minimal points."""
-    h = union.h_ideal()
-    tops = sorted(rev(union.params, beta) for beta in h
-                  if h.isdisjoint(lower_covers(beta)))
-    return SchubertUnion._build(union.params, tuple(tops), None, None)
+    """Dual union, from its maxima: the rev images of H_U's minimal points.
+
+    A minimal point of H_U other than the grid's bottom has a lower cover,
+    which lies in G_U, so the minimal points are the upper covers of G_U
+    outside it whose lower covers all lie in G_U; for an empty U, the bottom.
+    Only G_U is read, never the whole grid.
+    """
+    params, ideal = union.params, union.ideal()
+    if ideal:
+        least = {beta for alpha in ideal for beta in upper_covers(alpha, params.m)
+                 if beta not in ideal and ideal.issuperset(lower_covers(beta))}
+    else:
+        least = [tuple(range(1, params.l + 1))]
+    tops = sorted(rev(params, beta) for beta in least)
+    return SchubertUnion._build(params, tuple(tops), None, None)
 
 
 def dual_union_explicit(union: SchubertUnion) -> SchubertUnion:

@@ -13,6 +13,11 @@ lexicographic order of (c_{e-1}, ..., c_0); so results are reproducible:
 
 The fields exist to validate the point-count polynomials and to build the
 codes the weight oracle sweeps.
+
+The Laplace plan of the maximal minors, `_levels`, is built here and nowhere
+else: `maximal_minors` reads it one matrix at a time and the cell walk of
+`pluecker` over whole cells.  `det`, by elimination, shares nothing with it
+and is the reference the tests hold both to.
 """
 
 from __future__ import annotations
@@ -148,7 +153,8 @@ def rank(field, matrix) -> int:
 def det(field, matrix) -> int:
     """Determinant of a square matrix over the field, by elimination.
 
-    Independent of `maximal_minors`, which tests compare against it.
+    Independent of the Laplace plan (`_levels`): tests hold both readers of
+    the plan to it.
     """
     rows = [list(r) for r in matrix]
     n = len(rows)
@@ -170,51 +176,56 @@ def det(field, matrix) -> int:
     return acc
 
 
-@lru_cache(maxsize=16)
-def _laplace_plan(l, m):
-    """Expansion terms of the i x i minors on rows 1..i, for i = 2..l.
+def _levels(l, m, rows):
+    """The Laplace plan of the minors on `rows`, l-subsets of columns 1..m.
 
-    Level i lists, for each i-subset S of the m columns in lexicographic
-    order, the terms (column c, index of the (i-1)-minor on S minus c,
-    whether the sign is negative) of the expansion along row i.  The top
-    level is therefore in `full_grid` order.
+    Per row i = 1..l, the size of level i and, per column c, its expansion
+    terms.  Level l is `rows`; level i-1 holds every S minus c for S at
+    level i, in lex order, and level 0 is the empty minor 1.  The terms on
+    column c are (index k of S at level i, j) for every S at level i that
+    holds c, where j is the index of S minus c at level i-1 when the
+    cofactor's sign is +, and that plus the size of level i-1 when it is -.
+    So the minor at k of rows 1..i is the sum, over the columns c, of row
+    i's entry at c times signed entry j of rows 1..i-1.
     """
-    index = {(c,): c for c in range(m)}
-    plan = []
-    for i in range(2, l + 1):
-        level, nxt = [], {}
-        for cols in itertools.combinations(range(m), i):
-            nxt[cols] = len(level)
-            level.append(tuple(
-                (c, index[cols[:t] + cols[t + 1:]], (i - 1 + t) % 2 == 1)
-                for t, c in enumerate(cols)))
-        plan.append(tuple(level))
-        index = nxt
-    return tuple(plan)
+    levels = []
+    sets = list(rows)
+    for i in range(l, 0, -1):
+        lower = sorted({s[:t] + s[t + 1:] for s in sets for t in range(i)})
+        index = {s: j for j, s in enumerate(lower)}
+        by_column = [[] for _ in range(m)]
+        for k, s in enumerate(sets):
+            for t, c in enumerate(s):
+                sign = (i - 1 + t) % 2 * len(lower)
+                by_column[c - 1].append((k, index[s[:t] + s[t + 1:]] + sign))
+        levels.append((len(sets), by_column))
+        sets = lower
+    return levels[::-1]
+
+
+@lru_cache(maxsize=16)
+def _full_levels(l, m):
+    """`_levels` of every l-subset of the m columns, in lexicographic order."""
+    return _levels(l, m, list(itertools.combinations(range(1, m + 1), l)))
 
 
 def maximal_minors(field, matrix) -> tuple:
     """All l x l minors of an l x m matrix, columns in lexicographic order.
 
-    One Laplace expansion shared by every minor: the minors of the first i
-    rows on each i-subset of columns are built from the (i-1)-minors of the
-    first i-1 rows, so no minor is recomputed and nothing is eliminated.
-    This is the single-matrix reference behind `pluecker.pluecker_vector`;
-    the cell walk of `pluecker` runs the same expansion over whole cells.
+    The Laplace plan of `_levels`, read one matrix at a time: the minors of
+    the first i rows come from the signed (i-1)-minors of the rows above, so
+    no minor is recomputed and nothing is eliminated.  The cell walk of
+    `pluecker` reads the same plan over whole cells; `det` is the
+    independent reference that tests hold both to.
     """
     add, mul, neg = field._add, field._mul, field._neg
-    prev = matrix[0]
-    for row, level in zip(matrix[1:], _laplace_plan(len(matrix), len(prev))):
-        cur = []
-        for terms in level:
-            acc = 0
-            for c, j, negative in terms:
-                x = row[c]
-                if x:
-                    y = prev[j]
-                    if y:
-                        t = mul[x][y]
-                        acc = add[acc][neg[t] if negative else t]
-            cur.append(acc)
+    prev = [1]
+    for row, (size, by_column) in zip(matrix, _full_levels(len(matrix), len(matrix[0]))):
+        signed = prev + [neg[y] for y in prev]
+        cur = [0] * size
+        for x, terms in zip(row, by_column):
+            if x:
+                for k, j in terms:
+                    cur[k] = add[cur[k]][mul[x][signed[j]]]
         prev = cur
     return tuple(prev)

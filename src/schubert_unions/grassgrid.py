@@ -196,6 +196,13 @@ def lower_covers(a):
         prev = x
 
 
+def upper_covers(a, m):
+    """Grid points of G(l,m) one step above `a` in a single coordinate."""
+    for i, x in enumerate(a):
+        if x + 1 < (a[i + 1] if i + 1 < len(a) else m + 1):
+            yield a[:i] + (x + 1,) + a[i + 1:]
+
+
 def down_closure(points):
     """The smallest downward-closed set holding `points`, as a frozenset.
 

@@ -30,8 +30,10 @@ block without a Python loop over its children, and `to_bytes` with one
 `translate` (for 16-bit lanes, a recombination of the digits) decodes it.
 Since q <= gf.MAX_Q = 256, every vector the walk yields is `bytes`, one
 byte per minor, and a generator matrix's columns are those bytes as they
-are.  `cell_matrices` and `pluecker_vector` (int tuples) are the
-single-matrix reference the tests hold this walk to.
+are.  The walk's Laplace plan is `gf._levels`, which `pluecker_vector`
+(`gf.maximal_minors`, int tuples) reads one matrix at a time, so comparing
+the two checks the lanes and not the plan; `gf.det` of each `cell_matrices`
+matrix is the independent reference the tests hold both to.
 
 `write_text` turns blocks of `_TEXT_CHUNK` columns into text with `bytes`
 operations alone: each entry of a block gets one byte slot per decimal
@@ -94,30 +96,6 @@ def cell_matrices(field, params, alpha):
 def pluecker_vector(field, params, matrix):
     """Minors of the l x m matrix at every grid index, in grid order."""
     return gf.maximal_minors(field, matrix)
-
-
-def _levels(params, rows):
-    """Per row i = 1..l, the size of level i and, per column c, its expansion terms.
-
-    Level l is `rows`; level i-1 holds every S minus c for S at level i, in
-    lex order.  The terms on column c are (index k of S at level i, j) for
-    every S at level i that holds c, where j is the index of S minus c at
-    level i-1 when the cofactor's sign is +, and that plus the size of level
-    i-1 when it is -.
-    """
-    levels = []
-    sets = list(rows)
-    for i in range(params.l, 0, -1):
-        lower = sorted({s[:t] + s[t + 1:] for s in sets for t in range(i)})
-        index = {s: j for j, s in enumerate(lower)}
-        by_column = [[] for _ in range(params.m)]
-        for k, s in enumerate(sets):
-            for t, c in enumerate(s):
-                sign = (i - 1 + t) % 2 * len(lower)
-                by_column[c - 1].append((k, index[s[:t] + s[t + 1:]] + sign))
-        levels.append((len(sets), by_column))
-        sets = lower
-    return levels[::-1]
 
 
 # lanes in one packed block: bounds the ints a walk works on
@@ -260,7 +238,7 @@ class _Lanes:
         cofactors T_c of each free column c, over every digit setting.
 
         Terms (k, j) read the cofactor at lane k from signed entry j of the
-        parent (see `_levels`).  Parents go in groups whose blocks fit
+        parent (see `gf._levels`).  Parents go in groups whose blocks fit
         _BLOCK_LANES.  A parent whose own block does not is cut: each of its
         children over the leading free columns gets the trailing columns'
         increment.
@@ -318,7 +296,7 @@ def _walk(field, params, cells, rows):
     of those rows are kept and not walked again.
     """
     lanes = _Lanes(field)
-    levels = _levels(params, rows)
+    levels = gf._levels(params.l, params.m, rows)
     sizes = [1] + [size for size, _terms in levels]
     done = []   # per row i < l of the last cell: (a_i, vectors of rows 1..i)
     for alpha in cells:

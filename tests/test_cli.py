@@ -747,6 +747,24 @@ def test_dual_json_closes_one_ideal(capsys, monkeypatch):
     assert (data["span_primal"], data["span_dual"]) == (20, 15)
 
 
+def test_dual_builds_no_grid(capsys, monkeypatch):
+    # H_U's least points come from the upper covers of G_U: G(4,200) has
+    # 64,684,950 grid points, and none is listed
+    def refuse(params):
+        raise AssertionError("full_grid called")
+    monkeypatch.setattr(grassgrid, "full_grid", refuse)
+    argv = ["dual", "--l", "4", "--m", "200", "--union", "[[1,2,3,4]]"]
+    code, out, err = run_cli([*argv, "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dual_maxima"] == [[196, 198, 199, 200]]
+    for fmt in ("markdown", "csv"):
+        code, out, err = run_cli([*argv, "--format", fmt], capsys)
+        row = list(csv.reader(out.splitlines()))[-1] if fmt == "csv" else \
+            [cell.strip() for cell in out.splitlines()[-1].split("|")[1:-1]]
+        assert (code, err) == (0, "")
+        assert row[1] == row[2] == "(196,198,199,200)"
+
+
 def test_experiment_q8_closes_no_dual(capsys, monkeypatch):
     # the duals' point counts are read off the bound table, so no union's
     # ideal is closed
@@ -1069,6 +1087,13 @@ def test_bad_q_refused_on_every_weights_path(capsys, q, err, extra):
                    capsys) == (2, "", f"error: {err}\n")
 
 
+def cli_env():
+    """The environment of a CLI subprocess: this checkout's package, no guard."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop(cli.GUARD_ENV, None)
+    return env
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--l", "3", "--m", "8", "--guard", "56"],
     ["genmatrix", "--l", "2", "--m", "6", "--q", "3", "--binary"],
@@ -1076,8 +1101,7 @@ def test_bad_q_refused_on_every_weights_path(capsys, q, err, extra):
 def test_closed_stdout_exits_1_quietly(argv):
     # both outputs pass 150 kB, more than a pipe buffers, so the program is
     # still writing when the reader closes its end after one byte
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    env.pop(cli.GUARD_ENV, None)
+    env = cli_env()
     proc = subprocess.Popen([sys.executable, "-m", "schubert_unions.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert len(proc.stdout.read(1)) == 1
@@ -1085,3 +1109,23 @@ def test_closed_stdout_exits_1_quietly(argv):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv,target", [
+    (["bounds", "--l", "2", "--m", "30"], "stdout"),
+    (["genmatrix", "--l", "2", "--m", "6", "--q", "3", "--binary"], "stdout"),
+    (["genmatrix", "--l", "2", "--m", "4", "--q", "2", "--out", "/dev/full"], "/dev/full"),
+    (["genmatrix", "--l", "2", "--m", "4", "--q", "2", "--binary", "--out", "/dev/full"],
+     "/dev/full"),
+], ids=["stdout-text", "stdout-binary", "out-text", "out-binary"])
+def test_failed_write_is_one_error_line(argv, target):
+    # /dev/full refuses every write with ENOSPC
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "schubert_unions.cli", *argv],
+                              stdout=full if target == "stdout" else subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, env=cli_env(), timeout=60)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -31,6 +31,7 @@ from schubert_unions.grassgrid import (
     partition_to_grid,
     partition_weight,
     point_leq,
+    upper_covers,
     validate_point,
 )
 
@@ -130,6 +131,8 @@ def test_covers_are_one_step_neighbours(params):
     for a in grid:
         below = [b for b in grid if point_leq(b, a) and sum(a) - sum(b) == 1]
         assert sorted(lower_covers(a)) == below
+        above = [b for b in grid if point_leq(a, b) and sum(b) - sum(a) == 1]
+        assert sorted(upper_covers(a, params.m)) == above
 
 
 def stack_walk_ideal(maxima):
