@@ -14,6 +14,7 @@ import csv
 import functools
 import json
 import os
+import stat
 import sys
 
 from . import duality, gf, optimizer, pluecker, twodim, weights
@@ -402,10 +403,22 @@ def _resolve_defaults(args):
 
 
 def _open_out(path, mode):
+    """`path` opened for writing without truncating it, so that a refused
+    command (exit 2 or 3) leaves the file as it was (see `_cut`)."""
     try:
-        return open(path, mode)
+        return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), mode)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _cut(path, out):
+    """Cut a regular `--out` file at the length written to it, after a run
+    that succeeds or whose write fails; a device such as /dev/null is left
+    alone, since ftruncate fails on it."""
+    if path:
+        fd = out.fileno()
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _drop_stdout():
@@ -423,8 +436,13 @@ def main(argv=None):
         stream = sys.stdout.buffer if binary else sys.stdout
         with (_open_out(args.out, "wb" if binary else "w") if args.out
               else contextlib.nullcontext(stream)) as out:
-            args.handler(GrassParams(args.l, args.m), args, out)
-            out.flush()  # a reader that left shows up here, not at exit
+            try:
+                args.handler(GrassParams(args.l, args.m), args, out)
+                out.flush()  # a reader that left shows up here, not at exit
+            except OSError:
+                _cut(args.out, out)
+                raise
+            _cut(args.out, out)
         return 0
     except BrokenPipeError:
         # the reader closed stdout (`| head`): no message

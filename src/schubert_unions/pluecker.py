@@ -67,12 +67,7 @@ _TEXT_CHUNK = 4096    # columns per write of write_text
 def free_positions(alpha, l):
     """Free (row, column) slots of the reduced form, row-major; 1-based columns."""
     pivots = set(alpha)
-    out = []
-    for i, a in enumerate(alpha):
-        for j in range(1, a):
-            if j not in pivots:
-                out.append((i, j))
-    return out
+    return [(i, j) for i, a in enumerate(alpha) for j in range(1, a) if j not in pivots]
 
 
 def cell_matrices(field, params, alpha):
@@ -232,8 +227,8 @@ class _Lanes:
         return kids
 
     def children(self, parents, size_prev, size, pivot, free):
-        """Yield, in lists, the vectors of `size` minors one row adds to the
-        parents (each `size_prev` minors of the rows above): per parent, its
+        """The vectors of `size` minors one row adds to the parents (each
+        `size_prev` minors of the rows above), as one list: per parent, its
         base vector, the cofactors on the row's pivot, plus v_c times the
         cofactors T_c of each free column c, over every digit setting.
 
@@ -248,23 +243,24 @@ class _Lanes:
         while inner > 1 and q ** inner * size > _BLOCK_LANES:
             inner -= 1
         n = q ** inner
+        kids = []
         if inner == len(free):
             group = max(1, _BLOCK_LANES // (n * size))
             for i in range(0, len(parents), group):
                 count = min(group, len(parents) - i)
                 entries = self._entries(b"".join(parents[i:i + group]), size_prev)
                 consts = self.consts(count * n * size) if free else ()
-                yield self._expand(self._gather(entries, count, size, pivot),
-                                   self._increment(entries, count, size, free, consts),
-                                   size, n, consts)
-            return
+                kids += self._expand(self._gather(entries, count, size, pivot),
+                                     self._increment(entries, count, size, free, consts),
+                                     size, n, consts)
+            return kids
         consts = self.consts(n * size)
         for parent in parents:
             inc = self._increment(self._entries(parent, size_prev), 1, size, free[-inner:],
                                   consts)
-            for heads in self.children([parent], size_prev, size, pivot, free[:-inner]):
-                for head in heads:
-                    yield self._expand(head, inc, size, n, consts)
+            for head in self.children([parent], size_prev, size, pivot, free[:-inner]):
+                kids += self._expand(head, inc, size, n, consts)
+        return kids
 
 
 def _check_point_guard(field, params, union, guard):
@@ -287,7 +283,7 @@ def _check_point_guard(field, params, union, guard):
 
 def _walk(field, params, cells, rows):
     """Yield (cell label, list of minors on rows) for the points of the cells,
-    in order and in `cell_matrices` order within a cell, a list at a time.
+    in order and in `cell_matrices` order within a cell, one list per cell.
 
     Every vector is bytes, one byte per minor.  Row i's base vector holds the
     cofactors on a_i; free column c's digit v adds v * T_c, its cofactors, at
@@ -307,15 +303,11 @@ def _walk(field, params, cells, rows):
         for i in range(keep, len(alpha)):
             a, (size, terms) = alpha[i], levels[i]
             free = [terms[c] for c in range(a - 1) if c + 1 not in alpha]
-            blocks = lanes.children(done[-1][1] if done else [b"\1"], sizes[i], size,
-                                    terms[a - 1], free)
+            kids = lanes.children(done[-1][1] if done else [b"\1"], sizes[i], size,
+                                  terms[a - 1], free)
             if i < len(alpha) - 1:
-                vecs = []
-                for kids in blocks:
-                    vecs += kids
-                done.append((a, vecs))
-        for kids in blocks:
-            yield alpha, kids
+                done.append((a, kids))
+        yield alpha, kids
 
 
 def enumerate_points(field, params, union=None, guard=DEFAULT_POINT_GUARD):

@@ -132,19 +132,21 @@ def delta_table(params):
 
 def griesmer_lower(d1, r, q) -> int:
     """Griesmer bound: sum of ceil(d1/q^i) for i = 0..r-1."""
-    acc = 0
-    for i in range(r):
-        acc += -(-d1 // q ** i)
-    return acc
+    return sum(-(-d1 // q ** i) for i in range(r))
 
 
 def griesmer_lower_poly(params, r) -> Poly:
-    """Griesmer bound for C(l,m) as a polynomial (exact for integer q >= 2)."""
+    """Griesmer bound for C(l,m) as a polynomial (exact for integer q >= 2).
+
+    The sum of ceil(q^delta / q^i) over i < r, written directly: coefficient
+    1 at each degree from max(delta - r + 1, 0) to delta, plus
+    max(r - delta - 1, 0) more at degree 0, one per i > delta.
+    """
     delta = params.delta
-    p = Poly.zero()
-    for i in range(r):
-        p = p + (Poly.monomial(delta - i) if i <= delta else Poly.one())
-    return p
+    low = max(delta - r + 1, 0)
+    coeffs = [0] * low + [1] * (delta + 1 - low)
+    coeffs[0] += max(r - delta - 1, 0)
+    return Poly(coeffs)
 
 
 def weight_table(params, q=None, guard=DEFAULT_IDEAL_GUARD):
@@ -396,15 +398,9 @@ def oracle_dr(field, genmat, r, budget=DEFAULT_ORACLE_BUDGET) -> int:
 
 def min_weight_bruteforce(field, genmat) -> int:
     """Minimum nonzero codeword weight via a full message-space sweep."""
-    k, cols = genmat.k, genmat.columns
-    best = None
-    for msg in itertools.product(field.elements(), repeat=k):
-        if not any(msg):
-            continue
-        w = sum(1 for col in cols if field.dot(msg, col) != 0)
-        if best is None or w < best:
-            best = w
-    return best
+    messages = itertools.product(field.elements(), repeat=genmat.k)
+    return min((sum(1 for col in genmat.columns if field.dot(msg, col) != 0)
+                for msg in messages if any(msg)), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +408,11 @@ def min_weight_bruteforce(field, genmat) -> int:
 
 
 def _guarded_ground(union, guard):
-    """G_U sorted lexicographically, after checking its size against the guard."""
-    ground = sorted(union.ideal())
+    """G_U sorted lexicographically, once its size is checked against the guard."""
+    ground = union.ideal()
     if len(ground) > guard:
         raise TooLarge(f"union has {len(ground)} points, guard is {guard}")
-    return ground
+    return sorted(ground)
 
 
 def enumerate_subideals(union, guard=DEFAULT_IDEAL_GUARD):
@@ -437,18 +433,18 @@ def union_code_params(union, q, guard=DEFAULT_IDEAL_GUARD):
     The tail r >= K - B + 1 (B the largest corner coordinate) is exact via
     the projective space inside the union; elsewhere d_r is exact precisely
     when the Griesmer bound meets the coordinate-section upper bound
-    n_U - M_r, and an interval is reported otherwise.
+    n_U - M_r, and an interval is reported otherwise.  The one sub-union
+    walk gives K and n_U too: M runs over r = 0..K, and M_0 = n_U.
     """
     _require_l2(union.params)
     if not union.maxima:
         raise EmptyUnion("no code on the empty union")
-    K = union.span()
-    n_u = union.point_count()(q)
+    m_r = relative_bound(union, q, guard)
+    K, n_u = len(m_r) - 1, m_r[0]
     deltas = [cell_dimension(a, 2) for a in union.maxima]
     dmin = min(deltas)
     d1 = q ** dmin
     b1 = max(a[1] for a in union.maxima)
-    m_r = relative_bound(union, q, guard)
     records = []
     for r in range(1, K + 1):
         a = K - r

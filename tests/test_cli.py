@@ -678,6 +678,44 @@ def test_out_writes_stdout_bytes(monkeypatch, tmp_path, argv):
     assert path.read_bytes() == raw
 
 
+OLD_OUT = b"an earlier run's output, longer than the new one\n" * 400
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["enumerate", "--l", "0", "--m", "4"], 2),
+    (["genmatrix", "--l", "2", "--m", "4", "--q", "6"], 2),
+    (["enumerate", "--l", "3", "--m", "7"], 3),
+])
+def test_refused_command_keeps_out_file(capsys, monkeypatch, tmp_path, argv, expected):
+    monkeypatch.delenv(cli.GUARD_ENV, raising=False)
+    path = tmp_path / "out"
+    path.write_bytes(OLD_OUT)
+    code, out, err = run_cli([*argv, "--out", str(path)], capsys)
+    assert (code, out) == (expected, "") and err.startswith("error: ")
+    assert path.read_bytes() == OLD_OUT
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--l", "2", "--m", "5"],
+    ["genmatrix", "--l", "2", "--m", "4", "--q", "3", "--union", "[[2,4]]", "--binary"],
+    ["genmatrix", "--l", "2", "--m", "4", "--q", "2", "--union", "[]"],
+])
+def test_out_file_cut_to_new_output(monkeypatch, tmp_path, argv):
+    # written over an existing, longer file, which keeps none of its old bytes
+    code, raw = stdout_bytes(monkeypatch, argv)
+    assert code == 0 and len(raw) < len(OLD_OUT)
+    path = tmp_path / "out"
+    path.write_bytes(OLD_OUT)
+    assert main([*argv, "--out", str(path)]) == 0
+    assert path.read_bytes() == raw
+
+
+def test_out_to_null_device(capsys):
+    # ftruncate fails on a device: only a regular file is cut
+    assert run_cli(["bounds", "--l", "2", "--m", "5", "--out", os.devnull], capsys) == \
+        (0, "", "")
+
+
 def test_weights_oracle_ignores_ideal_guard(capsys, monkeypatch):
     # the oracle sweeps the generator matrix; G(3,7) has 35 grid points, over
     # the default ideal guard, but the oracle enumerates no ideals

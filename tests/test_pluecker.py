@@ -192,6 +192,21 @@ def test_stream_does_not_depend_on_the_block_bound(monkeypatch, bound, l, m, q):
     assert_reference_stream(Field(q), GrassParams(l, m))
 
 
+# a row's children come back as one list, so the walk hands out one list
+# per cell however small the block bound cuts the row
+@pytest.mark.parametrize("bound", [1, 24])
+@pytest.mark.parametrize("l,m,q", [(1, 12, 2), (2, 5, 3), (3, 6, 2), (2, 3, 27)])
+def test_walk_yields_one_list_per_cell(monkeypatch, bound, l, m, q):
+    monkeypatch.setattr(pluecker, "_BLOCK_LANES", bound)
+    field, params = Field(q), GrassParams(l, m)
+    grid = full_grid(params)
+    pairs = list(pluecker._walk(field, params, grid, grid))
+    assert [alpha for alpha, _kids in pairs] == grid
+    assert all(type(kids) is list for _alpha, kids in pairs)
+    assert [(alpha, vec) for alpha, kids in pairs for vec in kids] == \
+        list(reference_points(field, params))
+
+
 LANE_FIELDS = (2, 4, 3, 9, 27, 125, 251, 256)
 
 

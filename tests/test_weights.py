@@ -688,3 +688,73 @@ def test_mask_memo_keeps_one_entry_per_functional(monkeypatch, q):
     (cache,) = caches.values()
     assert len(cache.cache) == len({row for _cache, row in seen})
     assert all(type(key) is bytes for key in cache.cache)
+
+
+def loop_griesmer_lower_poly(params, r):
+    """griesmer_lower_poly as it was when it summed r polynomials, with the
+    partial sums kept: entry i is the bound for i rows, i = 0..r."""
+    delta = params.delta
+    p = Poly.zero()
+    sums = [p]
+    for i in range(r):
+        p = p + (Poly.monomial(delta - i) if i <= delta else Poly.one())
+        sums.append(p)
+    return sums
+
+
+def test_griesmer_lower_poly_matches_loop():
+    grids = [GrassParams(l, m) for m in range(2, 13) for l in range(1, m)]
+    for params in [*grids, GrassParams(2, 70)]:
+        sums = loop_griesmer_lower_poly(params, params.k + 2)
+        for r in range(1, params.k + 3):
+            assert weights.griesmer_lower_poly(params, r) == sums[r], (params, r)
+
+
+def reference_union_code_params(union, q):
+    """(records, n, k, d1) of union_code_params with k and n read from
+    span() and point_count()(q), as before they came from the walk."""
+    K, n_u = union.span(), union.point_count()(q)
+    dmin = min(grassgrid.cell_dimension(a, 2) for a in union.maxima)
+    d1 = q ** dmin
+    b1 = max(a[1] for a in union.maxima)
+    m_r = reference_relative_bound(union, q)
+    records = []
+    for r in range(1, K + 1):
+        lo, hi = griesmer_lower(d1, r, q), n_u - m_r[r]
+        if K - r <= b1 - 1:
+            records.append(weights.WeightRecord(
+                r, n_u - sum(q ** i for i in range(K - r)), source="TopFormula"))
+        elif lo == hi:
+            source = "NoginFormula" if r <= dmin + 1 else "SchubertBound"
+            records.append(weights.WeightRecord(r, lo, source=source))
+        else:
+            records.append(weights.WeightRecord(r, None, lower=lo, upper=hi,
+                                                source="Griesmer/SchubertBound"))
+    return records, n_u, K, d1
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_union_code_params_matches_span_and_point_count(m):
+    for u in enumerate_ideals(GrassParams(2, m)):
+        if not u.maxima:
+            continue
+        u = SchubertUnion(u.params, u.maxima)   # no carried g_U
+        for q in (2, 3, 4):
+            out = union_code_params(u, q)
+            assert (out["records"], out["n"], out["k"], out["d1"]) == \
+                reference_union_code_params(u, q), (u, q)
+
+
+def test_union_guard_before_counting_or_sorting(capsys, monkeypatch):
+    # G_U of [[59,60]] is the whole grid of G(2,60): its size alone refuses it
+    def refuse(*args, **kwargs):
+        raise AssertionError("G_U counted or sorted before the guard")
+
+    monkeypatch.setattr(grassgrid, "cell_count", refuse)
+    monkeypatch.setattr(weights, "sorted", refuse, raising=False)
+    monkeypatch.delenv(cli.GUARD_ENV, raising=False)
+    code = cli.main(["weights", "--l", "2", "--m", "60", "--q", "2",
+                     "--union", "[[59,60]]"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: union has 1770 points, guard is 28\n"
