@@ -44,7 +44,7 @@ def dual_union(union: SchubertUnion) -> SchubertUnion:
     else:
         least = [tuple(range(1, params.l + 1))]
     tops = sorted(rev(params, beta) for beta in least)
-    return SchubertUnion._build(params, tuple(tops), None, None)
+    return SchubertUnion._build(params, tuple(tops), None)
 
 
 def dual_union_explicit(union: SchubertUnion) -> SchubertUnion:

@@ -3,12 +3,15 @@
 A grid point is a strictly increasing l-tuple (a_1,...,a_l) with entries in
 1..m, ordered componentwise.  A Schubert union is a downward-closed (Borel
 fixed) subset of the grid, stored canonically as the antichain of its maximal
-points.  Counting cells by dimension gives the point-count polynomial g_U(q).
+points.  Counting cells by dimension gives the point-count polynomial g_U(q);
+`count_below` counts them from the maxima, so a union's span and point count
+build no point set.
 """
 
 from __future__ import annotations
 
 import collections
+import decimal
 import functools
 import itertools
 import json
@@ -28,14 +31,19 @@ class TooLarge(RuntimeError):
 
 
 DEFAULT_IDEAL_GUARD = 28
+# the least int that str() refuses under its default digit limit
+_LONG_COUNT = 10 ** 4300
 
 
 def count_text(n):
-    """`n` in decimal, or the largest power of 2 not above it if str() refuses."""
-    try:
-        return str(n)
-    except ValueError:
+    """`n` in decimal below 10^4300, else the largest power of 2 not above it.
+
+    The digits come from `decimal`, so the text does not depend on the
+    interpreter's int-to-str digit limit.
+    """
+    if n >= _LONG_COUNT:
         return f"at least 2^{n.bit_length() - 1}"
+    return str(decimal.Decimal(n))
 
 
 def _is_int(x):
@@ -231,6 +239,31 @@ def down_closure(points):
     return frozenset(out)
 
 
+def count_below(maxima, base) -> int:
+    """g_U(base) for the union with these maxima, from the maxima alone.
+
+    `down_closure`'s prefix recursion, with no point made: after a prefix
+    (c_1..c_i), coordinate i+1 runs from c_i + 1 up to the largest a_{i+1}
+    among the maxima a that still dominate the prefix.  When one of those
+    ends in the run a_{i+1} = e-l+i+1, ..., a_l = e, e the largest a_l among
+    them, it dominates every increasing tail in (c_i, e], so the r = l - i
+    coordinates left sum at once as a Gaussian binomial [e - c_i, r] at
+    base: at the last coordinate the geometric series, for the full grid's
+    top cycle the whole count.  At base 1 this is |G_U|, at q the number of
+    F_q-points, and at `_code_base(k)` the code that `_decode` reads back as
+    g_U(q).
+    """
+    def below(i, prev, alive):
+        # the cells below the prefix, each base^(c_j - j) over the r coordinates j > i
+        end, r = max([a[-1] for a in alive]), len(alive[0]) - i
+        if any(a[-1] == end and a[-1] - a[i] == r - 1 for a in alive):
+            return base ** (r * (prev - i)) * gaussian_binomial(end - prev, r, base)
+        return sum(base ** (v - i - 1) * below(i + 1, v, [a for a in alive if a[i] >= v])
+                   for v in range(prev + 1, max([a[i] for a in alive]) + 1))
+
+    return below(0, 0, maxima) if maxima else 0
+
+
 def validate_point(params, alpha):
     a = tuple(alpha)
     if len(a) != params.l:
@@ -261,29 +294,28 @@ def cell_count(points, l) -> Poly:
 class SchubertUnion:
     """A union of Schubert cycles, canonically the antichain of grid maxima."""
 
-    __slots__ = ("params", "maxima", "_ideal", "_g")
+    __slots__ = ("params", "maxima", "_ideal")
 
     def __init__(self, params, maxima):
         pts = sorted(validate_point(params, a) for a in maxima)
         for a, b in itertools.combinations(pts, 2):
             if point_leq(a, b) or point_leq(b, a):
                 raise ValueError(f"maxima {a} and {b} are comparable, not an antichain")
-        self._fill(params, tuple(pts), None, None)
+        self._fill(params, tuple(pts), None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SchubertUnion is immutable")
 
-    def _fill(self, params, maxima, ideal, g):
+    def _fill(self, params, maxima, ideal):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "maxima", maxima)
         object.__setattr__(self, "_ideal", ideal)
-        object.__setattr__(self, "_g", g)
 
     @classmethod
-    def _build(cls, params, maxima, ideal, g):
-        """Union with these fields, unchecked; a None ideal or g is computed on use."""
+    def _build(cls, params, maxima, ideal):
+        """Union with these fields, unchecked; a None ideal is built on use."""
         u = object.__new__(cls)
-        u._fill(params, maxima, ideal, g)
+        u._fill(params, maxima, ideal)
         return u
 
     @classmethod
@@ -314,24 +346,17 @@ class SchubertUnion:
         return frozenset(full_grid(self.params)) - self.ideal()
 
     def span(self) -> int:
-        """Affine spanning dimension K = |G_U|.
-
-        g_U(1) for a union that carries its point count, which builds no
-        point set.
-        """
-        if self._g is not None:
-            return self._g(1)
-        return len(self.ideal())
+        """Affine spanning dimension K = |G_U| = g_U(1), counted from the maxima."""
+        return count_below(self.maxima, 1)
 
     def point_count(self) -> Poly:
-        """g_U(q): cells of G_U counted by dimension.
+        """g_U(q): cells of G_U counted by dimension, from the maxima.
 
-        Carried by the unions that `enumerate_ideals` builds, decoded from
-        the walk's g code.
+        Coefficients are at most k, so the count at `_code_base(k)` is the
+        code of g_U.
         """
-        if self._g is not None:
-            return self._g
-        return cell_count(self.ideal(), self.params.l)
+        base = _code_base(self.params.k)
+        return _decode(count_below(self.maxima, base), base)
 
     def krull(self) -> int:
         """Krull dimension: max cell dimension over maxima, -1 when empty."""
@@ -379,7 +404,7 @@ def canonicalize(params, points):
     missing = down_closure(tops) - pts
     if missing:
         raise NotDownwardClosed(f"missing points below maxima, e.g. {sorted(missing)[:3]}")
-    return SchubertUnion._build(params, tuple(sorted(tops)), pts, None)
+    return SchubertUnion._build(params, tuple(sorted(tops)), pts)
 
 
 def _walk(points, base):
@@ -518,23 +543,23 @@ def _guarded_grid(params, guard):
 def enumerate_ideals(params, guard=DEFAULT_IDEAL_GUARD):
     """Yield every Schubert union of G(l,m) exactly once, canonically.
 
-    Each union carries its maxima and its point count, decoded from the
-    walk's g code; its point set is built only if `ideal()` is called.
+    Each union carries its maxima alone; its point set is built only if
+    `ideal()` is called.
     """
     grid = _guarded_grid(params, guard)
-    base = _grid_base(grid)
-    for _addable, _ideal, maxima, g in _walk(grid, base):
-        yield SchubertUnion._build(params, tuple(_picked(grid, maxima)), None,
-                                   _decode(g, base))
+    for _addable, _ideal, maxima, _g in _walk(grid, 1):
+        yield SchubertUnion._build(params, tuple(_picked(grid, maxima)), None)
 
 
 def grand_total(params) -> Poly:
     """n(q): the point-count polynomial of the whole Grassmannian."""
-    return cell_count(full_grid(params), params.l)
+    return SchubertUnion.full(params).point_count()
 
 
 def gaussian_binomial(m, l, q) -> int:
-    """Number of l-dimensional subspaces of GF(q)^m."""
+    """Number of l-dimensional subspaces of GF(q)^m; binomial(m, l) at q = 1."""
+    if q == 1:
+        return comb(m, l)
     num = 1
     den = 1
     for i in range(l):

@@ -14,7 +14,8 @@ i's base vector from the cofactors on its trailing 1, and each free column c
 of row i splits every vector into q, digit v adding v times the cofactors
 T_c on the minors that hold c.  Only the minors a later row reads are kept,
 from the matrix's own rows down, so a union's generator matrix walks G_U and
-never the whole grid.
+never the whole grid.  Before the walk, the point guard counts g_U(q) from
+the maxima (`grassgrid.count_below`), so a refused union builds no point set.
 
 A row is built in packed blocks (`_Lanes`): one Python int holds a lane of
 W bits per minor of every child of a group of the row's parents.  A lane
@@ -55,9 +56,9 @@ from . import gf, weights
 from .grassgrid import (
     SchubertUnion,
     TooLarge,
+    count_below,
     count_text,
     full_grid,
-    gaussian_binomial,
 )
 
 DEFAULT_POINT_GUARD = 10 ** 7
@@ -267,16 +268,14 @@ def _check_point_guard(field, params, union, guard):
     """ValueError for a union of another Grassmannian; TooLarge when the
     points to enumerate exceed the guard.
 
-    The count is the Gaussian binomial for all of G(l,m) (union None) and
-    g_U(q) for a union, so the full grid is not built first.
+    The count is g_U(q) from the maxima of the union, or of the full grid's
+    top cycle (union None), so no point set is built first.
     """
     if union is not None and union.params != params:
         raise ValueError(f"union of G({union.params.l},{union.params.m})"
                          f" given for G({params.l},{params.m})")
-    if union is None:
-        expected = gaussian_binomial(params.m, params.l, field.q)
-    else:
-        expected = union.point_count()(field.q)
+    u = SchubertUnion.full(params) if union is None else union
+    expected = count_below(u.maxima, field.q)
     if expected > guard:
         raise TooLarge(f"enumeration of {count_text(expected)} points exceeds guard {guard}")
 

@@ -91,7 +91,7 @@ def mset_to_union(mset: MSet) -> SchubertUnion:
     h = sorted(mset.elements, reverse=True)
     maxima = tuple((i, i + hi) for i, (hi, nxt) in enumerate(zip(h, h[1:] + [-1]), start=1)
                    if nxt != hi - 1)
-    return SchubertUnion._build(GrassParams(2, mset.m), maxima, None, None)
+    return SchubertUnion._build(GrassParams(2, mset.m), maxima, None)
 
 
 def mset_complement(mset: MSet) -> MSet:

@@ -408,11 +408,12 @@ def min_weight_bruteforce(field, genmat) -> int:
 
 
 def _guarded_ground(union, guard):
-    """G_U sorted lexicographically, once its size is checked against the guard."""
-    ground = union.ideal()
-    if len(ground) > guard:
-        raise TooLarge(f"union has {len(ground)} points, guard is {guard}")
-    return sorted(ground)
+    """G_U sorted lexicographically, once its size, counted from the maxima,
+    is checked against the guard."""
+    span = union.span()
+    if span > guard:
+        raise TooLarge(f"union has {span} points, guard is {guard}")
+    return sorted(union.ideal())
 
 
 def enumerate_subideals(union, guard=DEFAULT_IDEAL_GUARD):

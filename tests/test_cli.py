@@ -999,6 +999,34 @@ def test_genmatrix_guard_builds_no_grid(capsys, monkeypatch, union, count):
         (3, "", f"error: enumeration of {count} points exceeds guard 10000000\n")
 
 
+# the number of 3-planes of F_2^300, the points of the top cycle [[298,299,300]]
+G_3_300_OVER_F2 = (
+    "503137648700633567954609318968111053827473643843925259169486389549213240530214151880397384"
+    "830708691913561881565789226965713660944340437077318471647964626511664553991287324794568475"
+    "60545237688823026126224199359934491462174756602117385710818742962711510456429748117319875"
+)
+WEIGHTS_3000 = ["weights", "--l", "2", "--m", "3000", "--q", "2", "--union", "[[2999,3000]]"]
+
+
+# stderr recorded when G_U was built before these guards
+@pytest.mark.parametrize("argv,code,err", [
+    (WEIGHTS_3000, 3, "error: union has 4498500 points, guard is 28\n"),
+    ([*WEIGHTS_3000, "--r-range", "1:2"], 3, "error: union has 4498500 points, guard is 28\n"),
+    ([*WEIGHTS_3000, "--r-range", "1:5000000"], 2,
+     "error: --r-range 1:5000000 is not a range inside 1..4498500\n"),
+    (["genmatrix", "--l", "3", "--m", "300", "--q", "2", "--union", "[[298,299,300]]"], 3,
+     f"error: enumeration of {G_3_300_OVER_F2} points exceeds guard 10000000\n"),
+], ids=["weights", "weights-r-range", "weights-r-range-outside", "genmatrix"])
+def test_union_guard_counts_from_the_maxima(capsys, monkeypatch, argv, code, err):
+    # G_U has 4,498,500 and 4,455,100 points; the guards count them unbuilt
+    def refuse(points):
+        raise AssertionError("down_closure called before the guard")
+
+    monkeypatch.delenv("SCHUBERT_UNIONS_GUARD", raising=False)
+    monkeypatch.setattr(grassgrid, "down_closure", refuse)
+    assert run_cli(argv, capsys) == (code, "", err)
+
+
 @pytest.mark.parametrize("text", ["x", "1:2:3", ":3", "2:"])
 def test_r_range_form_named(capsys, text):
     code, out, err = run_cli(["weights", "--l", "2", "--m", "4", "--q", "2",
@@ -1130,6 +1158,22 @@ def cli_env():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     env.pop(cli.GUARD_ENV, None)
     return env
+
+
+def test_refusal_text_ignores_int_digit_limit():
+    # the 5,991-digit count is named by a power of 2 whatever str() allows
+    argv = ["weights", "--l", "2", "--m", "200", "--q", "2", "--oracle", "--r-range", "1:1"]
+    runs = set()
+    for limit in (None, "0", "640"):
+        env = cli_env()
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        proc = subprocess.run([sys.executable, "-m", "schubert_unions.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+        runs.add((proc.returncode, proc.stdout, proc.stderr))
+    assert runs == {(3, b"", b"error: r=1 sweep needs at least 2^19899 subspaces,"
+                             b" budget is 20000000\n")}
 
 
 @pytest.mark.parametrize("argv", [

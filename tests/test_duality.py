@@ -158,9 +158,13 @@ def test_dual_point_count_edges():
     assert dual_point_count(u) == both.point_count()
 
 
-def test_dual_point_count_refuses_g_above_delta():
-    # a corrupt g of degree delta + 1 leaves h_U = n - g of that degree
+def test_dual_point_count_refuses_g_above_delta(monkeypatch):
+    # a corrupt g of degree delta + 1 leaves h_U = n - g of that degree; the
+    # union's count is patched, the grand total's is left exact
     p = GrassParams(2, 5)
-    u = SchubertUnion._build(p, ((2, 4),), None, Poly.monomial(p.delta + 1))
+    u = SchubertUnion(p, [(2, 4)])
+    exact = SchubertUnion.point_count
+    monkeypatch.setattr(SchubertUnion, "point_count",
+                        lambda self: Poly.monomial(p.delta + 1) if self == u else exact(self))
     with pytest.raises(ReciprocityViolation, match=f"degree {p.delta + 1} > delta {p.delta}"):
         dual_point_count(u)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from schubert_unions.grassgrid import (
     canonicalize,
     cell_count,
     cell_dimension,
+    count_below,
     count_text,
     down_closure,
     down_sets,
@@ -276,6 +278,20 @@ def test_count_text_never_fails():
     assert count_text(3 * 2 ** 20000) == "at least 2^20001"
 
 
+def test_count_text_threshold_is_the_default_digit_limit():
+    # 10^4300 is the least int with more digits than str() allows by default
+    assert count_text(10 ** 4300 - 1) == "9" * 4300
+    assert count_text(10 ** 4300) == "at least 2^14284"
+    # the digits do not go through str(), so a lower interpreter limit keeps them
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert count_text(10 ** 4299) == "1" + "0" * 4299
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_intersection_of_cycle_ideals_is_min_tuple():
     params = GrassParams(3, 6)
     grid = full_grid(params)
@@ -290,7 +306,7 @@ def test_intersection_of_cycle_ideals_is_min_tuple():
 
 
 def test_span_equals_poly_at_one():
-    # span() reads g(1) for enumerated unions, so count the point set itself
+    # span() and point_count() both count from the maxima, so count the point set itself
     for params in (GrassParams(2, 7), GrassParams(3, 6)):
         for u in enumerate_ideals(params):
             assert u.point_count()(1) == len(u.ideal())
@@ -324,7 +340,7 @@ def test_grand_total_builds_no_closure(monkeypatch):
 
 
 def test_grand_total_matches_full_union():
-    # grand_total once read the full union's point count
+    # grand_total is the full union's point count
     for m in range(2, 11):
         for l in range(1, min(m, 6)):
             params = GrassParams(l, m)
@@ -604,9 +620,40 @@ def test_code_base_is_least_power_of_256_above_twice_the_top():
 
 
 def test_enumerated_unions_build_no_point_set():
-    # span() reads g(1); ideal() fills the slot from the maxima on first use
+    # span() counts from the maxima; ideal() fills the slot from them on first use
     unions = list(enumerate_ideals(GrassParams(3, 6)))
     spans = [u.span() for u in unions]
     assert all(u._ideal is None for u in unions)
     assert spans == [len(u.ideal()) for u in unions]
     assert all(u._ideal is not None for u in unions)
+
+
+@pytest.mark.parametrize("params", [GrassParams(3, 8), GrassParams(4, 8), GrassParams(2, 10),
+                                    GrassParams(1, 9)], ids=repr)
+def test_count_below_matches_cell_count_on_every_down_set(params):
+    # every union of the grid, the empty one and the full grid among them
+    base = _code_base(params.k)
+    unions = list(enumerate_ideals(params, guard=params.k))
+    assert unions[0].maxima == () and unions[-1] == SchubertUnion.full(params)
+    for u in unions:
+        g = cell_count(down_closure(u.maxima), params.l)
+        assert [count_below(u.maxima, q) for q in (1, 2, 3)] == [g(1), g(2), g(3)], u
+        assert _decode(count_below(u.maxima, base), base) == g, u
+
+
+def test_grand_total_is_the_cell_count_of_the_grid():
+    for m in range(2, 13):
+        for l in range(1, m):
+            params = GrassParams(l, m)
+            assert grand_total(params) == cell_count(full_grid(params), l), params
+
+
+def test_count_below_builds_no_point_set(monkeypatch):
+    def refuse(points):
+        raise AssertionError("down_closure called")
+
+    monkeypatch.setattr(grassgrid, "down_closure", refuse)
+    u = SchubertUnion(GrassParams(2, 3000), [(2999, 3000)])
+    assert u.span() == 4498500
+    assert u.point_count() == grand_total(GrassParams(2, 3000))
+    assert u._ideal is None
