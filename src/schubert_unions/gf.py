@@ -25,7 +25,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-# generator matrices are held one byte per entry (pluecker.GeneratorMatrix)
+# generator matrices are held as rows of bytes, one byte per entry
+# (pluecker.GeneratorMatrix)
 MAX_Q = 256
 
 

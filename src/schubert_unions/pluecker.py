@@ -9,37 +9,43 @@ Pluecker coordinates are the maximal minors taken in increasing column
 order, so the cell's own coordinate is 1 and the output is deterministic.
 
 The minors of rows 1..i are linear in row i, so a cell is walked row by
-row from the empty minor 1: each vector of rows 1..i-1 (a parent) gives row
-i's base vector from the cofactors on its trailing 1, and each free column c
-of row i splits every vector into q, digit v adding v times the cofactors
-T_c on the minors that hold c.  Only the minors a later row reads are kept,
-from the matrix's own rows down, so a union's generator matrix walks G_U and
-never the whole grid.  Before the walk, the point guard counts g_U(q) from
-the maxima (`grassgrid.count_below`), so a refused union builds no point set.
+row, each row over all of the cell's points at once, from the empty minor 1.
+Row i is zero but at its free columns and its trailing 1 (a_i); over the q^f
+settings of its f free entries (odometer order, the last fastest) the entry
+at column c is a digit pattern x_c, all 1s at a_i.  So the minor on S of
+rows 1..i, over the points of rows 1..i-1 (slow) times row i's settings
+(fast), is the sum of the terms x_c (x) T, one per column c of S where the
+row is nonzero, with T the signed minor on S minus c of the rows above, and
+a term is one join of the multiples of x_c that T's entries pick.  Only the
+minors a later row reads are kept, from the matrix's own rows down, so a
+union's generator matrix walks G_U and never the whole grid.  Before the
+walk, the point guard counts g_U(q) from the maxima
+(`grassgrid.count_below`), so a refused union builds no point set.
 
-A row is built in packed blocks (`_Lanes`): one Python int holds a lane of
-W bits per minor of every child of a group of the row's parents.  A lane
-holds enc(x), the e base-p digits of x in slots of b bits.  For p = 2 a slot
-is one bit and field addition is XOR.  For odd p, b = (2p-2).bit_length(),
-so a slot holds the sum of two digits: one int addition adds every lane at
-once, and one correction, s - (((s + C) & H) >> (b-1)) * p with
-C = 2^(b-1) - p and H = 2^(b-1) in every slot, takes p from each slot that
-reached p.  W is 8 when e*b <= 8 (every q = 2^e, q = 9, 25, 49 and the
-primes up to 127) and 16 otherwise, so lanes are whole bytes: repetition,
-strided slices and `translate` through the multiplication table build a
-block without a Python loop over its children, and `to_bytes` with one
-`translate` (for 16-bit lanes, a recombination of the digits) decodes it.
-Since q <= gf.MAX_Q = 256, every vector the walk yields is `bytes`, one
-byte per minor, and a generator matrix's columns are those bytes as they
-are.  The walk's Laplace plan is `gf._levels`, which `pluecker_vector`
-(`gf.maximal_minors`, int tuples) reads one matrix at a time, so comparing
-the two checks the lanes and not the plan; `gf.det` of each `cell_matrices`
-matrix is the independent reference the tests hold both to.
+Terms are added as packed lanes (`_Lanes`): one Python int holds a lane of
+W bits per entry, and a lane holds enc(x), the e base-p digits of x in slots
+of b bits.  For p = 2 a slot is one bit and field addition is XOR.  For odd
+p, b = (2p-2).bit_length(), so a slot holds the sum of two digits: one int
+addition adds every lane at once, and one correction,
+s - (((s + C) & H) >> (b-1)) * p with C = 2^(b-1) - p and H = 2^(b-1) in
+every slot, takes p from each slot that reached p.  W is 8 when e*b <= 8
+(every q = 2^e, q = 9, 25, 49 and the primes up to 127) and 16 otherwise,
+so lanes are whole bytes: `translate` through the multiplication table
+encodes the multiples of a pattern, and `to_bytes` with one `translate`
+(for 16-bit lanes, a recombination of the digits) decodes a sum.  Since
+q <= gf.MAX_Q = 256, every minor the walk yields is `bytes`, one byte per
+point, and a generator matrix holds its rows as the walk's minors joined
+cell after cell.  The walk's Laplace plan is `gf._levels`, which
+`pluecker_vector` (`gf.maximal_minors`, int tuples) reads one matrix at a
+time, so comparing the two checks the lanes and not the plan; `gf.det` of
+each `cell_matrices` matrix is the independent reference the tests hold
+both to.
 
 `write_text` turns blocks of `_TEXT_CHUNK` columns into text with `bytes`
-operations alone: each entry of a block gets one byte slot per decimal
-digit of q - 1 and one for its separator, one `translate` per digit place
-fills that place for every entry (NUL where the entry is shorter), one
+operations alone: one strided slice assignment per row interleaves the
+rows' slices into the block's columns, each entry gets one byte slot per
+decimal digit of q - 1 and one for its separator, one `translate` per digit
+place fills that place for every entry (NUL where the entry is shorter), one
 slice assignment puts a newline after every k-th entry, and deleting the
 NULs leaves the block's lines, written as one `str`.
 """
@@ -49,7 +55,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import struct
 from dataclasses import dataclass
 
 from . import gf, weights
@@ -94,20 +99,16 @@ def pluecker_vector(field, params, matrix):
     return gf.maximal_minors(field, matrix)
 
 
-# lanes in one packed block: bounds the ints a walk works on
-_BLOCK_LANES = 1 << 14
-
-
 class _Lanes:
-    """One walk's packed vectors: an int with one lane of W bits per minor.
+    """One walk's packed vectors: an int with one lane of W bits per entry.
 
-    Minor k's lane holds enc(x): the e base-p digits of x, lowest first, in
+    Entry k's lane holds enc(x): the e base-p digits of x, lowest first, in
     slots of b bits.  For p = 2, b = 1 and lane addition is XOR.  For odd p,
     b = (2p-2).bit_length(), so that a slot holds the sum of two digits: one
     int addition adds every lane at once, and one correction subtracts p
     from each slot that reached p.  W is 8 when e*b <= 8 and 16 otherwise,
-    so lanes are whole bytes, and `bytes` operations move them: repetition,
-    strided slices, `translate` through per-element tables.
+    so lanes are whole bytes, and `bytes` operations build them: `translate`
+    through per-element tables and joins of encoded pieces.
     """
 
     def __init__(self, field):
@@ -117,7 +118,7 @@ class _Lanes:
         enc = list(range(q))
         for x in range(p, q):   # digit j of x to slot j
             enc[x] = enc[x // p] << b | x % p
-        self.p, self.q, self.b, self.e, self.width = p, q, b, e, w
+        self.p, self.b, self.e, self.width = p, b, e, w
         # per v, per byte h of a lane, the table y -> byte h of enc(v * y);
         # none for a high byte that is always 0
         pad = bytes(256 - q)
@@ -148,12 +149,6 @@ class _Lanes:
             out[h::2] = elems.translate(table)
         return out
 
-    def multiples(self, elems):
-        """`encode(elems, v)` for v = 0, 1, ..., q-1."""
-        if self.width == 1:
-            return [elems.translate(tables[0]) for tables in self.scale]
-        return [self.encode(elems, v) for v in range(self.q)]
-
     def consts(self, lanes):
         """The slot constants of `add` over a block of `lanes` lanes."""
         return [int.from_bytes(c * lanes, "little") for c in self.slot]
@@ -167,101 +162,50 @@ class _Lanes:
         return s - ((s + c & top) >> self.b - 1) * self.p
 
     def decode(self, x, lanes):
-        """The elements of a packed block of `lanes` lanes, one byte each."""
+        """The elements of a packed block of `lanes` lanes, one byte each;
+        the block is an int or its little-endian bytes."""
         if self.width == 2:
             # each lane's digits recombined; the element fits the low byte
+            if not isinstance(x, int):
+                x = int.from_bytes(x, "little")
             mask = int.from_bytes(self.low * lanes, "little")
             x = sum((x >> j * self.b & mask) * self.p ** j for j in range(self.e))
             return x.to_bytes(2 * lanes, "little")[::2]
-        if self.p == 2:   # enc(x) = x
-            return x.to_bytes(lanes, "little")
-        return x.to_bytes(lanes, "little").translate(self.dec)
+        if isinstance(x, int):
+            x = x.to_bytes(lanes, "little")
+        return x if self.p == 2 else x.translate(self.dec)   # for p = 2, enc(x) = x
 
-    def _entries(self, parents, size_prev):
-        """Entry j of every parent vector, then minus entry j, for each j."""
-        entries = [parents[j::size_prev] for j in range(size_prev)]
-        if self.p == 2:   # -y = y
-            return entries * 2
-        return entries + [e.translate(self.negate) for e in entries]
 
-    @staticmethod
-    def _gather(entries, count, size, terms):
-        """Per parent, the `size` cofactors of one column: at lane k, the
-        signed entry j, for each term (k, j)."""
-        out = bytearray(count * size)
-        for k, j in terms:
-            out[k::size] = entries[j]
-        return out
+class _Multiples(dict):
+    """v -> the lanes of v times `elems`, each built on first use: a walk
+    reads them by the entries of whole minors, which may hold few values."""
 
-    def _increment(self, entries, count, size, free, consts):
-        """The packed sum of v_c * T_c over every digit setting of the free
-        columns, T_c read from each of `count` parents: digit settings in
-        odometer order (the last column fastest), and within each, the
-        parents in order.
+    def __init__(self, lanes, elems):
+        self.lanes, self.elems = lanes, elems
 
-        Per column, `multiples` gives v * T_c for every parent and digit v at
-        once, each repeated over the settings where the column's digit is v.
-        """
-        q, n = self.q, self.q ** len(free)
-        inc = 0
-        for s, terms in enumerate(reversed(free)):
-            rep = q ** s
-            step = b"".join([m * rep for m in self.multiples(
-                self._gather(entries, count, size, terms))]) * (n // rep // q)
-            step = int.from_bytes(step, "little")
-            inc = self.add(inc, step, consts) if inc else step
-        return inc
+    def __missing__(self, v):
+        self[v] = scaled = self.lanes.encode(self.elems, v)
+        return scaled
 
-    def _expand(self, starts, inc, size, n, consts):
-        """Start plus increment for every start (`size` elements each) and
-        each of the n digit settings of an `_increment`, start by start."""
-        count = len(starts) // size
-        x = int.from_bytes(self.encode(starts) * n, "little")
-        if inc:
-            x = self.add(x, inc, consts)
-        # n children at a time: the unpacker stays small
-        flat = list(itertools.chain.from_iterable(struct.iter_unpack(
-            f"{size}s" * n, self.decode(x, count * n * size))))
-        kids = []
-        for i in range(count):
-            kids += flat[i::count]
-        return kids
 
-    def children(self, parents, size_prev, size, pivot, free):
-        """The vectors of `size` minors one row adds to the parents (each
-        `size_prev` minors of the rows above), as one list: per parent, its
-        base vector, the cofactors on the row's pivot, plus v_c times the
-        cofactors T_c of each free column c, over every digit setting.
+def _pattern(q, f, s):
+    """Digit s of each of the q^f settings of f free entries, in odometer
+    order (the last fastest), as bytes; s = f gives the pivot's 1s."""
+    if s == f:
+        return b"\1" * q ** f
+    rep = q ** (f - 1 - s)
+    return b"".join(bytes([v]) * rep for v in range(q)) * q ** s
 
-        Terms (k, j) read the cofactor at lane k from signed entry j of the
-        parent (see `gf._levels`).  Parents go in groups whose blocks fit
-        _BLOCK_LANES.  A parent whose own block does not is cut: each of its
-        children over the leading free columns gets the trailing columns'
-        increment.
-        """
-        q = self.q
-        inner = len(free)
-        while inner > 1 and q ** inner * size > _BLOCK_LANES:
-            inner -= 1
-        n = q ** inner
-        kids = []
-        if inner == len(free):
-            group = max(1, _BLOCK_LANES // (n * size))
-            for i in range(0, len(parents), group):
-                count = min(group, len(parents) - i)
-                entries = self._entries(b"".join(parents[i:i + group]), size_prev)
-                consts = self.consts(count * n * size) if free else ()
-                kids += self._expand(self._gather(entries, count, size, pivot),
-                                     self._increment(entries, count, size, free, consts),
-                                     size, n, consts)
-            return kids
-        consts = self.consts(n * size)
-        for parent in parents:
-            inc = self._increment(self._entries(parent, size_prev), 1, size, free[-inner:],
-                                  consts)
-            for head in self.children([parent], size_prev, size, pivot, free[:-inner]):
-                kids += self._expand(head, inc, size, n, consts)
-        return kids
+
+def _minor(lanes, blocks, count, consts):
+    """The entries on `count` points of a minor whose terms are the packed
+    blocks (bytes): their lane-wise sum, decoded."""
+    x = blocks[0]
+    if len(blocks) > 1:
+        x = int.from_bytes(x, "little")
+        for y in blocks[1:]:
+            x = lanes.add(x, int.from_bytes(y, "little"), consts)
+    return lanes.decode(x, count)
 
 
 def _check_point_guard(field, params, union, guard):
@@ -281,32 +225,47 @@ def _check_point_guard(field, params, union, guard):
 
 
 def _walk(field, params, cells, rows):
-    """Yield (cell label, list of minors on rows) for the points of the cells,
-    in order and in `cell_matrices` order within a cell, one list per cell.
+    """Yield (cell label, minors) for the cells, in order: per minor on rows,
+    its entries on the cell's points as bytes, in `cell_matrices` order.
 
-    Every vector is bytes, one byte per minor.  Row i's base vector holds the
-    cofactors on a_i; free column c's digit v adds v * T_c, its cofactors, at
-    the sets that hold c.  Rows 1..i depend on a_1..a_i alone, and cells in
-    lex order share their leading pivots with the cell before, so the vectors
-    of those rows are kept and not walked again.
+    Row-major, each row over all of the cell's points (the module
+    docstring): a minor is a sum of terms x_c (x) T, each one join.  A minor
+    that is zero on every point is None until the last row, and adds no
+    term.  Rows 1..i depend on a_1..a_i alone, and cells in lex order share
+    their leading pivots with the cell before, so the minors of those rows
+    are kept and not walked again.
     """
-    lanes = _Lanes(field)
+    lanes, q = _Lanes(field), field.q
     levels = gf._levels(params.l, params.m, rows)
-    sizes = [1] + [size for size, _terms in levels]
-    done = []   # per row i < l of the last cell: (a_i, vectors of rows 1..i)
+    multiples = {}   # (free count, position): _Multiples of its `_pattern`
+    done = []   # per row i < l of the last cell: (a_i, points, minors of rows 1..i)
     for alpha in cells:
         keep = 0
         while keep < len(done) and done[keep][0] == alpha[keep]:
             keep += 1
         del done[keep:]
+        _a, count, minors = done[-1] if done else (0, 1, [b"\1"])
         for i in range(keep, len(alpha)):
-            a, (size, terms) = alpha[i], levels[i]
-            free = [terms[c] for c in range(a - 1) if c + 1 not in alpha]
-            kids = lanes.children(done[-1][1] if done else [b"\1"], sizes[i], size,
-                                  terms[a - 1], free)
+            a, (size, by_column) = alpha[i], levels[i]
+            nonzero = [c for c in range(1, a) if c not in alpha] + [a]
+            f = len(nonzero) - 1
+            signed = minors * 2 if lanes.p == 2 else \
+                minors + [t and t.translate(lanes.negate) for t in minors]
+            blocks = [[] for _ in range(size)]   # per minor, its terms packed
+            for s, c in enumerate(nonzero):
+                if (f, s) not in multiples:
+                    multiples[f, s] = _Multiples(lanes, _pattern(q, f, s))
+                scaled = multiples[f, s].__getitem__
+                for k, j in by_column[c - 1]:
+                    if signed[j] is not None:
+                        blocks[k].append(b"".join(map(scaled, signed[j])))
+            count *= q ** f
+            consts = lanes.consts(count) if lanes.p > 2 else ()
+            minors = [_minor(lanes, b, count, consts) if b else None for b in blocks]
             if i < len(alpha) - 1:
-                done.append((a, kids))
-        yield alpha, kids
+                done.append((a, count, minors))
+        zero = bytes(count)
+        yield alpha, [zero if t is None else t for t in minors]
 
 
 def enumerate_points(field, params, union=None, guard=DEFAULT_POINT_GUARD):
@@ -315,36 +274,44 @@ def enumerate_points(field, params, union=None, guard=DEFAULT_POINT_GUARD):
     _check_point_guard(field, params, union, guard)
     grid = full_grid(params)
     cells = grid if union is None else sorted(union.ideal())
-    for alpha, kids in _walk(field, params, cells, grid):
-        for vec in kids:
-            yield alpha, vec
+    for alpha, minors in _walk(field, params, cells, grid):
+        # the cell's points are the strided slices of its minors joined
+        data, count = b"".join(minors), len(minors[0])
+        for j in range(count):
+            yield alpha, data[j::count]
 
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """A generator matrix held as its columns, one `bytes` of k entries each."""
+    """A generator matrix held as its rows, one `bytes` of n entries each."""
 
     field: gf.Field
     params: object
     union: SchubertUnion | None
     rows: tuple          # grid points labelling the rows
-    columns: tuple       # per point, its Pluecker coordinates on the rows, as bytes
+    coordinates: tuple   # per row, that Pluecker coordinate of every point, as bytes
 
     @property
     def n(self) -> int:
-        return len(self.columns)
+        return len(self.coordinates[0]) if self.coordinates else 0
 
     @property
     def k(self) -> int:
         return len(self.rows)
 
     def entries(self):
-        """The k rows as bytes: strided slices of the columns joined."""
-        data = b"".join(self.columns)
-        return [data[i::self.k] for i in range(self.k)]
+        """The k rows as bytes, as held."""
+        return list(self.coordinates)
 
     def rank(self) -> int:
         return gf.rank(self.field, self.entries())
+
+    @functools.cached_property
+    def columns(self):
+        """Per point, its coordinates on the rows as bytes: strided slices
+        of the rows joined, built on first use."""
+        data, n = b"".join(self.coordinates), self.n
+        return tuple(data[j::n] for j in range(n))
 
     @functools.cached_property
     def oracle(self):
@@ -361,27 +328,28 @@ def generator_matrix(field, params, union=None, guard=DEFAULT_POINT_GUARD):
     """
     _check_point_guard(field, params, union, guard)
     rows = tuple(full_grid(params) if union is None else sorted(union.ideal()))
-    # built as a list: tuple() of a generator resizes its tuple as it grows,
-    # and each resize puts it back in the youngest GC generation
-    columns = []
-    for _alpha, kids in _walk(field, params, rows, rows):
-        columns += kids
-    columns = tuple(columns)
-    return GeneratorMatrix(field, params, union, rows, columns)
+    pieces = [[] for _ in rows]   # per row, its entries on each cell
+    for _alpha, minors in _walk(field, params, rows, rows):
+        for row, minor in zip(pieces, minors):
+            row.append(minor)
+    return GeneratorMatrix(field, params, union, rows, tuple(map(b"".join, pieces)))
 
 
 def write_text(genmat, stream):
     """One column per line, entries as integers separated by spaces."""
-    # per entry, `places` digit slots padded with NUL on the left and one
-    # separator slot (see the module docstring)
+    # per block, the rows' slices interleaved into columns; per entry,
+    # `places` digit slots padded with NUL on the left and one separator
+    # slot (see the module docstring)
     q, k = genmat.field.q, genmat.k
     places = len(str(q - 1))
     width = places + 1
     names = [str(v).rjust(places, "\0").encode() for v in range(q)]
     tables = [bytes(name[j] for name in names).ljust(256, b"\0") for j in range(places)]
-    cols = genmat.columns
-    for i in range(0, len(cols), _TEXT_CHUNK):
-        data = b"".join(cols[i:i + _TEXT_CHUNK])
+    for i in range(0, genmat.n, _TEXT_CHUNK):
+        cols = min(_TEXT_CHUNK, genmat.n - i)
+        data = bytearray(k * cols)
+        for r, row in enumerate(genmat.coordinates):
+            data[r::k] = row[i:i + cols]
         out = bytearray(b" ") * (len(data) * width)
         for j, table in enumerate(tables):
             out[j::width] = data.translate(table)

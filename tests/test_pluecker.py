@@ -182,29 +182,49 @@ def test_enumerate_points_other_moduli(q, modulus):
     assert_reference_stream(field, params, SchubertUnion(params, [(1, 4, 5), (2, 3, 5)]))
 
 
-# G(1,12) over F_2 cuts each large row at the default bound; the small
-# bounds put one parent in a group and cut rows into blocks of blocks
-@pytest.mark.parametrize("bound", [1, 24, 200, pluecker._BLOCK_LANES])
+def grid_union(params, kind):
+    """One union of the grid per kind: "full" (None, the whole grid), "top"
+    (the top cycle, the same points as a union), "middle" (maxima: the cells
+    of half the top dimension, an antichain) and "bottom" (the one point)."""
+    grid = full_grid(params)
+    if kind == "full":
+        return None
+    if kind == "middle":
+        half = (sum(grid[-1]) + sum(grid[0])) // 2
+        return SchubertUnion(params, [a for a in grid if sum(a) == half])
+    return SchubertUnion(params, [grid[-1] if kind == "top" else grid[0]])
+
+
+UNION_KINDS = ("full", "top", "middle", "bottom")
+
+
+# G(1,12) over F_2 has a row of 11 free entries; at half the top dimension
+# G(2,4) and G(2,5) have two maxima and G(3,6) three, while G(1,m) and
+# G(2,3) are chains
+@pytest.mark.parametrize("kind", UNION_KINDS)
 @pytest.mark.parametrize("l,m,q", [(1, 6, 2), (1, 12, 2), (2, 5, 3), (3, 6, 2),
                                    (2, 4, 4), (2, 3, 27)])
-def test_stream_does_not_depend_on_the_block_bound(monkeypatch, bound, l, m, q):
-    monkeypatch.setattr(pluecker, "_BLOCK_LANES", bound)
-    assert_reference_stream(Field(q), GrassParams(l, m))
+def test_stream_is_the_reference_on_unions(kind, l, m, q):
+    params = GrassParams(l, m)
+    assert_reference_stream(Field(q), params, grid_union(params, kind))
 
 
-# a row's children come back as one list, so the walk hands out one list
-# per cell however small the block bound cuts the row
-@pytest.mark.parametrize("bound", [1, 24])
+# the walk hands out each cell once, in lex order, and a cell's minors are
+# the generator matrix's rows on that cell's points
+@pytest.mark.parametrize("kind", ("full", "middle"))
 @pytest.mark.parametrize("l,m,q", [(1, 12, 2), (2, 5, 3), (3, 6, 2), (2, 3, 27)])
-def test_walk_yields_one_list_per_cell(monkeypatch, bound, l, m, q):
-    monkeypatch.setattr(pluecker, "_BLOCK_LANES", bound)
+def test_walk_yields_each_cell_once(kind, l, m, q):
     field, params = Field(q), GrassParams(l, m)
+    gm = generator_matrix(field, params, grid_union(params, kind))
+    pairs = list(pluecker._walk(field, params, gm.rows, gm.rows))
+    assert [alpha for alpha, _minors in pairs] == list(gm.rows)
+    assert all(type(piece) is bytes for _alpha, minors in pairs for piece in minors)
+    assert [b"".join(minors[r] for _alpha, minors in pairs) for r in range(gm.k)] == \
+        gm.entries()
     grid = full_grid(params)
-    pairs = list(pluecker._walk(field, params, grid, grid))
-    assert [alpha for alpha, _kids in pairs] == grid
-    assert all(type(kids) is list for _alpha, kids in pairs)
-    assert [(alpha, vec) for alpha, kids in pairs for vec in kids] == \
-        list(reference_points(field, params))
+    idx = [grid.index(t) for t in gm.rows]
+    assert list(gm.columns) == [bytes(vec[i] for i in idx)
+                                for _alpha, vec in reference_points(field, params, gm.union)]
 
 
 LANE_FIELDS = (2, 4, 3, 9, 27, 125, 251, 256)
@@ -273,6 +293,24 @@ def test_generator_matrix_empty_union():
     u = SchubertUnion.empty(GrassParams(2, 4))
     gm = generator_matrix(f2, GrassParams(2, 4), u)
     assert gm.k == 0 and gm.n == 0
+
+
+# the matrix holds its k rows, one bytes of n entries each, built by joining
+# each row's pieces from the walk: a matrix held as one bytes per column
+# holds 3 to 5 bytes per entry after the call and peaks at 5 to 7
+@pytest.mark.parametrize("l,m,q", [(2, 5, 5), (3, 6, 2)])
+def test_generator_matrix_memory_per_entry(l, m, q):
+    field, params = Field(q), GrassParams(l, m)
+    generator_matrix(field, params)   # what a first call leaves cached
+    tracemalloc.start()
+    try:
+        gm = generator_matrix(field, params)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entries = gm.n * gm.k
+    assert held <= 1.5 * entries, held / entries
+    assert peak <= 3.5 * entries, peak / entries
 
 
 def test_rank_equals_span_exhaustive():
@@ -419,13 +457,13 @@ def text_field(q):
 
 
 def random_matrix(q, k, n, seed=0):
-    """n columns of k entries that use every value of F_q once n*k >= q."""
+    """k rows of n entries that use every value of F_q once n*k >= q."""
     entries = [v % q for v in range(n * k)]
     random.Random(seed).shuffle(entries)
     data = bytes(entries)
-    columns = tuple(data[i:i + k] for i in range(0, n * k, k))
+    coordinates = tuple(data[i * n:(i + 1) * n] for i in range(k))
     return pluecker.GeneratorMatrix(text_field(q), GrassParams(2, 4), None,
-                                    tuple(range(k)), columns)
+                                    tuple(range(k)), coordinates)
 
 
 def text_of(genmat):
