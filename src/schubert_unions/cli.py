@@ -87,7 +87,8 @@ def cmd_enumerate(params, args, out):
 
 def cmd_dual(params, args, out):
     u = _parse_union(params, args.union)
-    dual = duality.dual_union(u)
+    # one dual, folded from the maxima, for every format: G_U is never built
+    dual = duality.dual_union_explicit(u)
     # the spans of a union and its dual add up to k: no point set for the dual
     span = u.span()
     if args.format == "json":
@@ -95,8 +96,7 @@ def cmd_dual(params, args, out):
                               "dual_maxima": dual.maxima, "span_primal": span,
                               "span_dual": params.k - span}) + "\n")
     else:
-        rows = [(u.label(), dual.label(), duality.dual_union_explicit(u).label(),
-                 span, params.k - span)]
+        rows = [(u.label(), dual.label(), dual.label(), span, params.k - span)]
         _emit_table(["U", "Dual", "Dual (explicit)", "Span", "Dual span"],
                     rows, args.format, out)
 

@@ -20,6 +20,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from math import comb
+from operator import le
 
 
 class NotDownwardClosed(ValueError):
@@ -187,7 +188,7 @@ class Poly:
 
 def point_leq(a, b):
     """Componentwise partial order on grid points."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def lower_covers(a):
@@ -253,15 +254,18 @@ def count_below(maxima, base) -> int:
     F_q-points, and at `_code_base(k)` the code that `_decode` reads back as
     g_U(q).
     """
+    # memoized for this call: prefixes that end alike with the same live maxima
+    # below them have the same count
+    @functools.cache
     def below(i, prev, alive):
         # the cells below the prefix, each base^(c_j - j) over the r coordinates j > i
         end, r = max([a[-1] for a in alive]), len(alive[0]) - i
         if any(a[-1] == end and a[-1] - a[i] == r - 1 for a in alive):
             return base ** (r * (prev - i)) * gaussian_binomial(end - prev, r, base)
-        return sum(base ** (v - i - 1) * below(i + 1, v, [a for a in alive if a[i] >= v])
+        return sum(base ** (v - i - 1) * below(i + 1, v, tuple(a for a in alive if a[i] >= v))
                    for v in range(prev + 1, max([a[i] for a in alive]) + 1))
 
-    return below(0, 0, maxima) if maxima else 0
+    return below(0, 0, tuple(maxima)) if maxima else 0
 
 
 def validate_point(params, alpha):
@@ -298,8 +302,9 @@ class SchubertUnion:
 
     def __init__(self, params, maxima):
         pts = sorted(validate_point(params, a) for a in maxima)
+        # sorted, a point below another comes first
         for a, b in itertools.combinations(pts, 2):
-            if point_leq(a, b) or point_leq(b, a):
+            if point_leq(a, b):
                 raise ValueError(f"maxima {a} and {b} are comparable, not an antichain")
         self._fill(params, tuple(pts), None)
 

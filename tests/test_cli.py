@@ -872,17 +872,51 @@ def test_weights_oracle_needs_q(capsys):
 
 
 def test_dual_json_skips_explicit_dual(capsys, monkeypatch):
+    # the fold is the one dual: it runs once in every format, json included,
+    # and the text formats print it in both dual columns
     calls = []
     explicit = duality.dual_union_explicit
     monkeypatch.setattr(duality, "dual_union_explicit",
                         lambda u: calls.append(u) or explicit(u))
     argv = ["dual", "--l", "2", "--m", "7", "--union", "[[3,5]]"]
     code, out, _ = run_cli([*argv, "--format", "json"], capsys)
-    assert code == 0 and calls == []
+    assert code == 0 and len(calls) == 1
     assert json.loads(out)["dual_maxima"] == [[2, 7], [3, 4]]
     code, out, _ = run_cli(argv, capsys)
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and len(calls) == 2
     assert "(2,7) ∪ (3,4)" in out
+
+
+# sha256 of stdout of `dual` on one maximum whose G_U has 4,455,100 points
+# (the whole of G(3,300)) and on one whose G_U has 5,418,435, recorded when
+# json walked G_U and the text formats walked it beside the fold
+DUAL_FROM_THE_MAXIMA = [
+    ("--l 3 --m 300 --union [[298,299,300]]", "json",
+     "84b573a9e3f0f8814e40bc65c542cc662ae3a4cfdc7901870cfb96541c5daad6"),
+    ("--l 3 --m 300 --union [[298,299,300]]", "markdown",
+     "60952d085ca8c3a2917adacb36837667b71b3f37c9967e647776005893c77821"),
+    ("--l 3 --m 300 --union [[298,299,300]]", "csv",
+     "3a07a5186ea8c5832234a7f3bd198abd74c9ae48c27dfbb21c28d11c88296a0e"),
+    ("--l 5 --m 60 --union [[50,52,55,58,60]]", "json",
+     "9f9a8d15d0a8a2a88ca840b0293d3bdb8e5a33f4ebfe34d2fe16eb3068594863"),
+    ("--l 5 --m 60 --union [[50,52,55,58,60]]", "markdown",
+     "4d81214947b3d241e2f25e8433c28a9bd93759e6c205fdd89b3b98b73404c8ff"),
+    ("--l 5 --m 60 --union [[50,52,55,58,60]]", "csv",
+     "dad7fdea40e4ef93b0ef497d3306613886af05a76744c6899b8f9ddc9ed61bd8"),
+]
+
+
+@pytest.mark.parametrize("flags,fmt,digest", DUAL_FROM_THE_MAXIMA,
+                         ids=[f"{flags}-{fmt}" for flags, fmt, _ in DUAL_FROM_THE_MAXIMA])
+def test_dual_builds_no_point_set(monkeypatch, flags, fmt, digest):
+    def refuse(*args):
+        raise AssertionError("G_U built")
+
+    monkeypatch.setattr(grassgrid, "down_closure", refuse)
+    monkeypatch.setattr(duality, "dual_union", refuse)
+    code, raw = stdout_bytes(monkeypatch, ["dual", *flags.split(), "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(raw).hexdigest() == digest
 
 
 def test_dual_markdown_with_40_maxima_matches_json(capsys):
@@ -1174,6 +1208,28 @@ def test_refusal_text_ignores_int_digit_limit():
         runs.add((proc.returncode, proc.stdout, proc.stderr))
     assert runs == {(3, b"", b"error: r=1 sweep needs at least 2^19899 subspaces,"
                              b" budget is 20000000\n")}
+
+
+@pytest.mark.parametrize("argv", [
+    # the 15 points of G(3,12) of cell dimension 14: the fold keeps its
+    # vectors in a set
+    ["dual", "--l", "3", "--m", "12", "--union",
+     json.dumps([a for a in grassgrid.full_grid(GrassParams(3, 12)) if sum(a) == 20])],
+    ["enumerate", "--l", "3", "--m", "7", "--guard", "35"],
+    ["genmatrix", "--l", "3", "--m", "6", "--q", "2", "--union", "[[1,4,5],[2,3,5]]"],
+    ["weights", "--l", "2", "--m", "7", "--q", "3", "--union", "[[3,6]]"],
+], ids=["dual", "enumerate", "genmatrix", "weights"])
+def test_output_ignores_hash_seed(argv):
+    # identical flags give identical bytes in every process, whatever order
+    # its str and bytes hashes give to sets and dicts
+    runs = set()
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-m", "schubert_unions.cli", *argv],
+                              capture_output=True, env={**cli_env(), "PYTHONHASHSEED": seed},
+                              timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"") and proc.stdout
+        runs.add(proc.stdout)
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("argv", [

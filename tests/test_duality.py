@@ -122,6 +122,18 @@ def test_dual_explicit_tries_no_assignments(monkeypatch):
     assert dual_union_explicit(u) == dual_union(u)
 
 
+@pytest.mark.parametrize("params,level", [(GrassParams(3, 40), 60), (GrassParams(4, 20), 42)],
+                         ids=["G(3,40)", "G(4,20)"])
+def test_dual_explicit_matches_the_walk_on_level_antichains(params, level):
+    # every point with coordinate sum `level`: 190 and 177 maxima, so the
+    # fold holds some 100 vectors at each of its steps
+    u = SchubertUnion(params, [a for a in full_grid(params) if sum(a) == level])
+    d = dual_union_explicit(u)
+    assert d == dual_union(u)
+    # built unchecked: the checked constructor takes the same maxima
+    assert SchubertUnion(params, d.maxima).maxima == d.maxima
+
+
 def test_dual_union_reads_the_maxima(monkeypatch):
     # the maxima come from H_U's minimal points: the dual's point set is
     # neither rebuilt nor validated nor closed again

@@ -657,3 +657,21 @@ def test_count_below_builds_no_point_set(monkeypatch):
     assert u.span() == 4498500
     assert u.point_count() == grand_total(GrassParams(2, 3000))
     assert u._ideal is None
+
+
+def test_count_below_counts_each_prefix_once(monkeypatch):
+    # [[50,52,55,58,60]] of G(5,60): prefixes that end alike with the same
+    # live maxima share one count, so 55 closed forms are summed where the
+    # recursion without a memo summed 419,225; the counts are the ones it gave
+    calls = []
+    closed = grassgrid.gaussian_binomial
+    monkeypatch.setattr(grassgrid, "gaussian_binomial",
+                        lambda *args: calls.append(args) or closed(*args))
+    counts = []
+    for base in (1, 2):
+        calls.clear()
+        counts.append(count_below([(50, 52, 55, 58, 60)], base))
+        assert len(calls) == 55
+    assert counts == [
+        5418435,
+        33200624819573933347764077324520688241578026153640971212464744925229793147779667]
