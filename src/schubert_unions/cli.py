@@ -315,43 +315,54 @@ def build_parser():
         description="Schubert unions in G(l,m): tables, duality, codes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, need_q=False):
-        """A subcommand that runs `handler(params, args, out)`."""
+    def command(name, handler, help, flags):
+        """A subcommand that runs `handler(params, args, out)`, with --l, --m,
+        --out, --config and those of --q, --format and --guard that `flags`
+        maps to their help text (None for none)."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         p.add_argument("--l", type=int, required=True)
         p.add_argument("--m", type=int, required=True)
-        if need_q:
-            p.add_argument("--q", type=int, default=None)
-        p.add_argument("--format", choices=FORMATS, default=None)
+        if "--q" in flags:
+            p.add_argument("--q", type=int, default=None, help=flags["--q"])
+        if "--format" in flags:
+            p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--guard", type=int, default=None)
+        if "--guard" in flags:
+            p.add_argument("--guard", type=int, default=None, help=flags["--guard"])
         p.add_argument("--config", default=None)
         return p
 
-    command("enumerate", cmd_enumerate, "all Schubert unions with their data")
-    p = command("dual", cmd_dual, "dual of a union")
+    command("enumerate", cmd_enumerate, "all Schubert unions with their data",
+            {"--format": None, "--guard": None})
+    p = command("dual", cmd_dual, "dual of a union", {"--format": None})
     p.add_argument("--union", required=True, help='maxima as JSON, e.g. "[[3,5]]"')
-    p = command("encode", cmd_encode, "M_U / sigma_U encodings (l=2)")
+    p = command("encode", cmd_encode, "M_U / sigma_U encodings (l=2)", {"--format": None})
     p.add_argument("--union", required=True)
-    command("bounds", cmd_bounds, "J_r / D_r / E_r table")
-    command("directions", cmd_directions, "L/R/LR table (l=2)")
-    p = command("krull", cmd_krull, "maximal Krull dimension d(K)")
+    command("bounds", cmd_bounds, "J_r / D_r / E_r table",
+            {"--format": None, "--guard": "ideal guard; read for l >= 3 only"})
+    command("directions", cmd_directions, "L/R/LR table (l=2)", {"--format": None})
+    p = command("krull", cmd_krull, "maximal Krull dimension d(K)", {"--format": None})
     p.add_argument("--K", type=int, default=None)
-    p = command("genmatrix", cmd_genmatrix, "generator matrix export", need_q=True)
+    # text, or --binary: no --format
+    p = command("genmatrix", cmd_genmatrix, "generator matrix export", {"--q": None})
     p.add_argument("--union", default=None)
     p.add_argument("--binary", action="store_true")
     p.add_argument("--point-guard", type=int, default=None)
-    p = command("weights", cmd_weights, "weight hierarchy records", need_q=True)
+    p = command("weights", cmd_weights, "weight hierarchy records",
+                {"--q": None, "--format": None,
+                 "--guard": "ideal guard; read with --union, and at l >= 3 without --oracle"})
     p.add_argument("--union", default=None)
     p.add_argument("--r-range", default=None)
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--oracle-budget", type=int, default=None)
-    p.add_argument("--point-guard", type=int, default=None)
-    p = command("experiment", cmd_experiment, "run a question check", need_q=True)
+    p.add_argument("--oracle-budget", type=int, default=None, help="read with --oracle only")
+    p.add_argument("--point-guard", type=int, default=None, help="read with --oracle only")
+    p = command("experiment", cmd_experiment, "run a question check",
+                {"--q": "read by Q4 only", "--format": None,
+                 "--guard": "ideal guard; read by Q8, and by Q9 at l >= 3"})
     p.add_argument("question", choices=("Q3", "Q4", "Q8", "Q9"))
-    p.add_argument("--oracle-budget", type=int, default=None)
-    p.add_argument("--point-guard", type=int, default=None)
+    p.add_argument("--oracle-budget", type=int, default=None, help="read by Q4 only")
+    p.add_argument("--point-guard", type=int, default=None, help="read by Q4 only")
     return parser
 
 
@@ -395,7 +406,7 @@ def _resolve_defaults(args):
             setattr(args, name, value)
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    if args.format is None:
+    if getattr(args, "format", 0) is None:
         args.format = config.get("format", "markdown")
         if args.format not in FORMATS:
             raise ValueError(f"config {args.config}: format must be one of"
@@ -430,6 +441,11 @@ def _drop_stdout():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    # table integers print whole whatever PYTHONINTMAXSTRDIGITS says; the
+    # limit exists from Python 3.10.7 on (0: none), and the caller's comes back
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         _resolve_defaults(args)
         binary = getattr(args, "binary", False)
@@ -461,6 +477,9 @@ def main(argv=None):
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 
 from .grassgrid import (
@@ -48,8 +49,8 @@ def _require_span(params, K):
 
 def _first_cells(params, K, fill):
     _require_span(params, K)
-    cols = [x for x, _y in fill(params.m)[:K]]
-    return mset_to_union(MSet(params.m, tuple(sorted(map(cols.count, set(cols))))))
+    cols = Counter(x for x, _y in fill(params.m)[:K])
+    return mset_to_union(MSet(params.m, tuple(sorted(cols.values()))))
 
 
 def left_candidate(params, K) -> SchubertUnion:

@@ -96,7 +96,8 @@ def mset_to_union(mset: MSet) -> SchubertUnion:
 
 def mset_complement(mset: MSet) -> MSet:
     """Complement in {1..m-1}; this is the M-set of the dual union."""
-    return MSet(mset.m, tuple(x for x in range(1, mset.m) if x not in set(mset.elements)))
+    present = set(mset.elements)
+    return MSet(mset.m, tuple(x for x in range(1, mset.m) if x not in present))
 
 
 def union_to_sigma(union: SchubertUnion) -> SigmaSeq:

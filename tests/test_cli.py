@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from schubert_unions import cli, duality, gf, grassgrid, pluecker, twodim, weights
+from schubert_unions import (cli, duality, gf, grassgrid, optimizer, pluecker, twodim,
+                             weights)
 from schubert_unions.cli import FORMATS, main
 from schubert_unions.grassgrid import GrassParams, SchubertUnion, enumerate_ideals
 
@@ -955,6 +957,83 @@ def test_parser_built_once(capsys, monkeypatch):
         cli._parser.cache_clear()
 
 
+# each subcommand takes only the flags its handler can read
+SUBCOMMAND_OPTIONS = {
+    "enumerate": ("--l", "--m", "--format", "--out", "--guard", "--config"),
+    "dual": ("--l", "--m", "--format", "--out", "--config", "--union"),
+    "encode": ("--l", "--m", "--format", "--out", "--config", "--union"),
+    "bounds": ("--l", "--m", "--format", "--out", "--guard", "--config"),
+    "directions": ("--l", "--m", "--format", "--out", "--config"),
+    "krull": ("--l", "--m", "--format", "--out", "--config", "--K"),
+    "genmatrix": ("--l", "--m", "--q", "--out", "--config", "--union", "--binary",
+                  "--point-guard"),
+    "weights": ("--l", "--m", "--q", "--format", "--out", "--guard", "--config",
+                "--union", "--r-range", "--oracle", "--oracle-budget", "--point-guard"),
+    "experiment": ("--l", "--m", "--q", "--format", "--out", "--guard", "--config",
+                   "--oracle-budget", "--point-guard"),
+}
+
+
+def subcommand_options():
+    """Each subparser's option strings, in the order it declares them."""
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: tuple(flag for action in parser._actions for flag in action.option_strings
+                        if flag not in ("-h", "--help"))
+            for name, parser in sub.choices.items()}
+
+
+def test_subcommand_options_pinned():
+    assert subcommand_options() == SUBCOMMAND_OPTIONS
+    # with experiment's question, 65 settable values over the nine subcommands
+    assert sum(map(len, SUBCOMMAND_OPTIONS.values())) + 1 == 65
+
+
+REMOVED_FLAGS = [
+    ["dual", "--l", "2", "--m", "5", "--union", "[[2,5]]", "--guard", "3"],
+    ["encode", "--l", "2", "--m", "5", "--union", "[[2,5]]", "--guard", "3"],
+    ["directions", "--l", "2", "--m", "5", "--guard", "3"],
+    ["krull", "--l", "2", "--m", "5", "--guard", "3"],
+    ["genmatrix", "--l", "2", "--m", "4", "--q", "2", "--guard", "3"],
+    ["genmatrix", "--l", "2", "--m", "4", "--q", "2", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS,
+                         ids=[f"{argv[0]}{argv[-2]}" for argv in REMOVED_FLAGS])
+def test_unread_flag_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
+UNGUARDED = [
+    ["dual", "--l", "2", "--m", "7", "--union", "[[3,5]]"],
+    ["encode", "--l", "2", "--m", "7", "--union", "[[1,7],[3,5]]"],
+    ["directions", "--l", "2", "--m", "10"],
+    ["krull", "--l", "2", "--m", "8", "--K", "12"],
+    ["genmatrix", "--l", "2", "--m", "4", "--q", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", UNGUARDED, ids=[argv[0] for argv in UNGUARDED])
+def test_settings_without_their_flag_unread(monkeypatch, tmp_path, argv):
+    # neither the variable nor a config key is read for a flag the command lacks
+    monkeypatch.delenv(cli.GUARD_ENV, raising=False)
+    expected = stdout_bytes(monkeypatch, argv)
+    assert expected[0] == 0 and expected[1]
+    monkeypatch.setenv(cli.GUARD_ENV, "abc")
+    assert stdout_bytes(monkeypatch, argv) == expected
+    monkeypatch.delenv(cli.GUARD_ENV)
+    keys = [{"guard": True}] + ([{"format": "xml"}] if argv[0] == "genmatrix" else [])
+    for i, key in enumerate(keys):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps(key))
+        assert stdout_bytes(monkeypatch, [*argv, "--config", str(cfg)]) == expected
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_boolean_coordinates_rejected(capsys, fmt):
     code, out, err = run_cli(["dual", "--l", "2", "--m", "5", "--union",
@@ -1208,6 +1287,43 @@ def test_refusal_text_ignores_int_digit_limit():
         runs.add((proc.returncode, proc.stdout, proc.stderr))
     assert runs == {(3, b"", b"error: r=1 sweep needs at least 2^19899 subspaces,"
                              b" budget is 20000000\n")}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_table_ignores_int_digit_limit(fmt):
+    # d_r of C(2,140) over F_256 runs past 640 digits; only digests are
+    # compared, since this process may not str() such an integer
+    argv = ["weights", "--l", "2", "--m", "140", "--q", "256", "--r-range", "1:3",
+            "--format", fmt]
+    runs = set()
+    for limit in (None, "0", "640"):
+        env = cli_env()
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        proc = subprocess.run([sys.executable, "-m", "schubert_unions.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+        runs.add((proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), proc.stderr))
+    assert len(runs) == 1
+    assert runs.pop()[::2] == (0, b"")
+
+
+def test_main_lifts_and_restores_int_digit_limit(capsys, monkeypatch):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit before Python 3.10.7")
+    seen = []
+    krull_dK = optimizer.krull_dK
+    monkeypatch.setattr(optimizer, "krull_dK", lambda params, K: seen.append(
+        sys.get_int_max_str_digits()) or krull_dK(params, K))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run_cli(["krull", "--l", "2", "--m", "5", "--K", "3"], capsys)[0] == 0
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # the handler ran with no limit, and the caller's came back
+    assert seen == [0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,6 @@
 """The README's Library example runs and prints the values its comments give,
-and every line of its CLI block runs."""
+every line of its CLI block runs, and its flag table is the parser's."""
 
-import argparse
 import ast
 import re
 import shlex
@@ -10,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from schubert_unions import GrassParams, SchubertUnion, cli
+
+from test_cli import subcommand_options
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -49,9 +50,7 @@ def cli_lines():
 
 def test_cli_block_lists_every_command():
     commands = {shlex.split(line)[1] for line in cli_lines()}
-    sub = next(action for action in cli.build_parser()._actions
-               if isinstance(action, argparse._SubParsersAction))
-    assert commands == set(sub.choices)
+    assert commands == set(subcommand_options())
 
 
 @pytest.mark.parametrize("line", cli_lines())
@@ -64,3 +63,18 @@ def test_cli_block_line_runs(line, capsys, monkeypatch, tmp_path):
         argv[i] = str(tmp_path / argv[i])
     assert cli.main(argv) == 0, capsys.readouterr().err
     assert capsys.readouterr().err == ""
+
+
+def flag_table():
+    """Subcommand -> the flags the README's CLI table gives it, with the
+    four that every subcommand takes."""
+    section = README.split("\n## CLI\n", 1)[1].split("\n```sh\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines()
+            if line.startswith("| `")]
+    return {name.strip().strip("`"): {"--l", "--m", "--out", "--config",
+                                      *re.findall(r"`(--[\w-]+)`", flags)}
+            for name, flags in rows}
+
+
+def test_flag_table_matches_parser():
+    assert flag_table() == {name: set(flags) for name, flags in subcommand_options().items()}

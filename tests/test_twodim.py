@@ -173,6 +173,23 @@ def test_complement_examples():
     assert mset_complement(MSet(7, ())).elements == (1, 2, 3, 4, 5, 6)
 
 
+def test_complement_builds_one_set(monkeypatch):
+    # one membership set for the whole complement, not one per x in 1..m-1
+    ms = MSet(50, tuple(range(1, 50, 3)))
+    calls = []
+
+    def counting_set(*args):
+        calls.append(args)
+        return set(*args)
+
+    monkeypatch.setattr(twodim, "set", counting_set, raising=False)
+    MSet(50, ms.elements)
+    own = len(calls)  # the ones MSet's own check makes
+    calls.clear()
+    assert mset_complement(ms).elements == tuple(x for x in range(1, 50) if x % 3 != 1)
+    assert len(calls) == own + 1
+
+
 def test_complement_is_dual_exhaustive():
     for m in range(3, 9):
         for u in enumerate_ideals(GrassParams(2, m)):
