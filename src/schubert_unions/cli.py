@@ -4,6 +4,9 @@ Exit codes: 0 success, 2 invalid arguments, 3 resource guard exceeded, 1 when
 the output cannot be written (one error line) or the reader closes stdout
 before the output ends (no message).
 Every command is deterministic: identical flags give byte-identical output.
+The polynomial cells of `bounds` and `enumerate` are written from the tables'
+integer codes (`grassgrid._code_texts`; JSON lists their digits), and Q8 and
+Q9 compare the codes' digits, so no Poly is built on those paths.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from . import duality, gf, optimizer, pluecker, twodim, weights
 from .grassgrid import (
     DEFAULT_IDEAL_GUARD,
     GrassParams,
-    Poly,
     SchubertUnion,
     TooLarge,
+    _code_texts,
+    _digits,
 )
 from .weights import BudgetExceeded
 
@@ -32,9 +36,9 @@ FORMATS = ("markdown", "csv", "json")
 
 
 def _emit_table(headers, rows, fmt, stream):
-    """Rows as a table; JSON carries a polynomial as its coefficient list."""
+    """Rows as a table."""
     if fmt == "json":
-        stream.write(json.dumps([dict(zip(headers, r)) for r in rows], default=Poly.to_list))
+        stream.write(json.dumps([dict(zip(headers, r)) for r in rows]))
         stream.write("\n")
     elif fmt == "csv":
         w = csv.writer(stream, lineterminator="\n")
@@ -66,17 +70,26 @@ def _mset_str(elements):
     return "{" + ",".join(map(str, elements)) + "}" if elements else "∅"
 
 
+def _poly_cells(codes, base, fmt, signed=False):
+    """Polynomial cells from their codes: coefficient lists for JSON, else texts."""
+    if fmt == "json":
+        return [_digits(code, base, signed).tolist() for code in codes]
+    return _code_texts(codes, base, signed)
+
+
 def cmd_enumerate(params, args, out):
-    grid, groups = optimizer.union_table(params, args.guard)
+    grid, base, groups = optimizer.union_table(params, args.guard)
     texts = ["(" + ",".join(map(str, a)) + ")" for a in grid]
+    points = _poly_cells([g for _span, g, _maximal, _group in groups], base, args.format)
+    # the degree of g_U is its code's length in digits, less one
+    bits = base.bit_length() - 1
     table = []
-    for span, g, maximal, group in groups:
-        # one text per g_U; JSON writes the Poly as its coefficient list
-        points = g if args.format == "json" else str(g)
+    for (span, g, maximal, group), cell in zip(groups, points):
+        # the largest cell dimension sits at a maximum: Krull is deg g_U
+        krull = -(-g.bit_length() // bits) - 1
         for maxima in group:
-            # the largest cell dimension sits at a maximum: Krull is deg g_U
-            row = [" ∪ ".join([texts[i] for i in maxima]) or "∅", span, g.degree,
-                   points, "Yes" if maximal else "No"]
+            row = [" ∪ ".join([texts[i] for i in maxima]) or "∅", span, krull,
+                   cell, "Yes" if maximal else "No"]
             if params.l == 2:
                 row.insert(3, _mset_str(twodim.column_heights([grid[i] for i in maxima])))
             table.append(row)
@@ -121,16 +134,15 @@ def cmd_encode(params, args, out):
 
 def cmd_bounds(params, args, out):
     table = optimizer.bound_table(params, args.guard)
+    J, D, E = table.codes()
+    columns = [range(params.k + 1), _poly_cells(J, table.base, args.format),
+               _poly_cells(D, table.base, args.format),
+               ["-", *_poly_cells(E, table.base, args.format, signed=True)]]
     headers = ["r", "J_r", "D_r", "E_r"]
     if params.l == 2:
         headers.append("Direction")
-    rows = []
-    for row in table.rows:
-        cells = [row.r, row.J, row.D, "-" if row.E is None else row.E]
-        if params.l == 2:
-            cells.append(row.direction or "-")
-        rows.append(tuple(cells))
-    _emit_table(headers, rows, args.format, out)
+        columns.append(table.direction_row)
+    _emit_table(headers, list(zip(*columns)), args.format, out)
 
 
 def cmd_directions(params, args, out):
@@ -232,10 +244,17 @@ def cmd_weights(params, args, out):
 # experiments
 
 
+def _reciprocal(p, partner, delta):
+    """Whether p(q) = q^delta * partner(1/q), for coefficient sequences lowest first."""
+    size = delta + 1
+    return max(len(p), len(partner)) <= size and \
+        [*p, *[0] * (size - len(p))] == [*[0] * (size - len(partner)), *reversed(partner)]
+
+
 def _reciprocity(seq, delta):
     """Verdict and the r whose entry seq[r-1] is not q^delta * seq[k-r](1/q)."""
     bad = [r for r, (p, partner) in enumerate(zip(seq, reversed(seq)), start=1)
-           if partner.degree > delta or p != partner.reversed_within(delta)]
+           if not _reciprocal(p, partner, delta)]
     return ("affirmative" if not bad else f"negative (witness r={bad})"), bad
 
 
@@ -243,16 +262,17 @@ def experiment_q3(params):
     table = weights.delta_table(params)
     if any(rec.value is None for rec in table):
         return "undetermined (middle weights open)", []
-    return _reciprocity([rec.value for rec in table], params.delta)
+    return _reciprocity([rec.value.coeffs for rec in table], params.delta)
 
 
 def experiment_q8(params, guard):
     table = optimizer.exhaustive_bound_table(params, guard)
-    k = params.k
+    J, D, _E = table.codes()
+    J = [_digits(code, table.base) for code in J]
     # every maximiser of span K has g_U = J and h_U = D of row k - K; its dual
     # has span k - K and q^delta * h_U(1/q) points (duality.dual_point_count)
-    witnesses = [K for K in range(k + 1)
-                 if table.row(k - K).D.reversed_within(params.delta) != table.row(K).J]
+    witnesses = [K for K, code in enumerate(reversed(D))
+                 if not _reciprocal(J[K], _digits(code, table.base), params.delta)]
     if not witnesses:
         return "affirmative", []
     return f"negative (witness K={witnesses[0]})", witnesses
@@ -260,7 +280,8 @@ def experiment_q8(params, guard):
 
 def experiment_q9(params, guard):
     table = optimizer.bound_table(params, guard)
-    return _reciprocity([table.row(r).E for r in range(1, params.k + 1)], params.delta)
+    _J, _D, E = table.codes()
+    return _reciprocity([_digits(code, table.base, signed=True) for code in E], params.delta)
 
 
 def experiment_q4(params, q, budget, point_guard):
@@ -283,6 +304,9 @@ def _max_annihilated_with_witness(field, genmat, r):
 
 
 def cmd_experiment(params, args, out):
+    # a bad q is refused whichever question reads it
+    if args.q is not None:
+        gf.prime_power(args.q)
     if args.question == "Q3":
         verdict, detail = experiment_q3(params)
     elif args.question == "Q8":
@@ -358,7 +382,7 @@ def build_parser():
     p.add_argument("--oracle-budget", type=int, default=None, help="read with --oracle only")
     p.add_argument("--point-guard", type=int, default=None, help="read with --oracle only")
     p = command("experiment", cmd_experiment, "run a question check",
-                {"--q": "read by Q4 only", "--format": None,
+                {"--q": "checked by every question, read by Q4 only", "--format": None,
                  "--guard": "ideal guard; read by Q8, and by Q9 at l >= 3"})
     p.add_argument("question", choices=("Q3", "Q4", "Q8", "Q9"))
     p.add_argument("--oracle-budget", type=int, default=None, help="read by Q4 only")

@@ -5,7 +5,9 @@ A grid point is a strictly increasing l-tuple (a_1,...,a_l) with entries in
 fixed) subset of the grid, stored canonically as the antichain of its maximal
 points.  Counting cells by dimension gives the point-count polynomial g_U(q);
 `count_below` counts them from the maxima, so a union's span and point count
-build no point set.
+build no point set.  The tables carry each g_U as an integer code, its value
+at a base 2^(8w): `_digits` reads the coefficients back, and `_code_texts`
+writes the text of a block of codes with no Poly built.
 """
 
 from __future__ import annotations
@@ -486,8 +488,8 @@ def _grid_base(points) -> int:
     return _code_base(max(collections.Counter(map(sum, points)).values(), default=0))
 
 
-def _decode(code, base, signed=False) -> Poly:
-    """The polynomial whose coefficients are the base-`base` digits of `code`.
+def _digits(code, base, signed=False) -> array:
+    """The base-`base` digits of `code`, lowest first, with no zero top digit.
 
     `base` is 2^(8w) (`_code_base`), so the digits are the w-byte items of
     `code.to_bytes`.  With every coefficient in 0..base-1, a polynomial's
@@ -511,7 +513,81 @@ def _decode(code, base, signed=False) -> Poly:
     digits = array(typecode, code.to_bytes(length * size, "little"))
     if sys.byteorder == "big":
         digits.byteswap()
-    return Poly(digits)
+    while digits and not digits[-1]:
+        digits.pop()
+    return digits
+
+
+def _decode(code, base, signed=False) -> Poly:
+    """The polynomial whose coefficients are the digits of `code` (`_digits`)."""
+    return Poly(_digits(code, base, signed))
+
+
+# the term texts "+c" and "-c" of the digits -128..255, four characters each,
+# NUL-padded on the left, and none for 0; as the coefficient of a power of q,
+# +-1 is its sign alone.  Entry [signed, constant][j] maps a digit byte to
+# character j of its text: an unsigned byte reads 0..255, a signed one -128..127.
+_TERMS = "".join(map("{:\0>+4}".format, range(-128, 256)))
+_CONSTANTS = _TERMS[:512] + "\0" * 4 + _TERMS[516:]
+_COEFFICIENTS = _TERMS[:508] + "\0\0\0-" + "\0" * 4 + "\0\0\0+" + _TERMS[520:]
+_TEXT_TABLES = {
+    (signed, texts is _CONSTANTS):
+        [(texts[512:1024] + texts[:512] if signed else texts[512:])[j::4].encode()
+         for j in range(4)]
+    for signed in (False, True) for texts in (_COEFFICIENTS, _CONSTANTS)}
+_NONZERO = b"\0" + b"\xff" * 255
+# codes per pass of `_code_texts`: it bounds the pass's buffers
+_TEXT_BLOCK = 256
+
+
+def _code_texts(codes, base, signed=False):
+    """`str(_decode(code, base, signed))` of each code, written from its bytes.
+
+    The codes of a block become slots of one digit each, top digit first,
+    every code padded to the block's longest and led by a slot for its line
+    break.  A slot holds the coefficient's term text, one table lookup per
+    character (the degree-0 slot from its own tables, so that +-1 keeps its
+    1), then the power of q, from a template ANDed with a mask that blanks
+    it where the digit is 0.  The NULs are dropped, and the text is split at
+    the breaks.  Codes in a base above 256 are decoded.
+    """
+    if base != 256:
+        return [str(_decode(code, base, signed)) for code in codes]
+    out = []
+    for i in range(0, len(codes), _TEXT_BLOCK):
+        block = codes[i:i + _TEXT_BLOCK]
+        # the digits as bytes, signed ones in two's complement (`_digits`)
+        if signed:
+            size = max(map(abs, block)).bit_length() // 8 + 2
+            half = int.from_bytes(b"\x80" * size, "big")
+        else:
+            size, half = max(-(-max(block).bit_length() // 8), 1), 0
+        data = b"".join([b"\0" + ((code + half) ^ half).to_bytes(size, "big") for code in block])
+        # a slot: the coefficient's 4 characters, then "q^" and the exponent
+        places = len(str(size - 1))
+        power = places + 2
+        width = power + 4
+        unit = (size + 1) * width
+        exponents = map(f"q^{{:\0>{places}}}".format, range(size - 1, 1, -1))
+        template = "\0" * power + "".join(exponents) + "q".ljust(power, "\0") * (size > 1)
+        template = template.ljust((size + 1) * power, "\0")
+        mask = bytearray(len(data) * power)
+        nonzero = data.translate(_NONZERO)
+        for j in range(power):
+            mask[j::power] = nonzero
+        powers = (int.from_bytes(template.encode() * len(block), "big")
+                  & int.from_bytes(mask, "big")).to_bytes(len(mask), "big")
+        text = bytearray(len(data) * width)
+        for j, table in enumerate(_TEXT_TABLES[signed, False]):
+            text[j::width] = data.translate(table)
+        for j in range(power):
+            text[4 + j::width] = powers[j::power]
+        constants = data[size::size + 1]
+        for j, table in enumerate(_TEXT_TABLES[signed, True]):
+            text[size * width + j::unit] = constants.translate(table)
+        text[::unit] = b"\n" * len(block)
+        out += text.translate(None, b"\0").decode().split("\n")[1:]
+    return [t.removeprefix("+") or "0" for t in out]
 
 
 def _picked(points, mask):

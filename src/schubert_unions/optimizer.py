@@ -5,20 +5,20 @@ K is attained by one of two candidates: fill columns from the left, or fill
 rows from the bottom.  The per-codimension maxima J_r give the upper bound
 table D_r = n - J_r, E_r = D_r - D_{r-1} for the weight hierarchy.  The
 largest Krull dimension reachable with span K is the largest d with
-C(d) <= K for an explicit piecewise quadratic C.
+C(d) <= K for an explicit piecewise quadratic C.  The tables hold integer
+codes (`grassgrid._walk`): the CLI writes its cells from them, and Polys are
+decoded only for a library caller that reads a table's rows.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .grassgrid import (
     DEFAULT_IDEAL_GUARD,
-    GrassParams,
-    Poly,
     SchubertUnion,
     _code_base,
     _decode,
@@ -122,19 +122,50 @@ def directions(params):
     return [direction for _g, direction in _l2_best(params.m, _l2_base(params.m))][::-1]
 
 
-@dataclass(frozen=True)
-class BoundRow:
-    r: int
-    J: Poly
-    D: Poly
-    E: Poly | None
-    direction: str | None
+# J, D and E as Polys, E None at r = 0, and the l=2 direction, else None; a
+# named tuple, which is made at import in a tenth of a frozen dataclass's time
+BoundRow = namedtuple("BoundRow", "r J D E direction")
 
 
-@dataclass(frozen=True)
 class BoundTable:
-    params: GrassParams
-    rows: tuple
+    """J_r / D_r / E_r for r = 0..k, as BoundRows.
+
+    A table from `bound_table` or `exhaustive_bound_table` holds the codes of
+    J_0..J_k in `base` (see `grassgrid._walk`) and the direction row; its
+    rows are decoded from them when `rows` is first read.
+    """
+
+    def __init__(self, params, rows):
+        self.params = params
+        self.rows = tuple(rows)
+
+    @classmethod
+    def _from_codes(cls, params, base, J, direction_row):
+        table = object.__new__(cls)
+        table.params, table.base, table.J, table.direction_row = params, base, J, direction_row
+        return table
+
+    def codes(self):
+        """The codes of J, D and E in `base`; E, for r = 1..k, is signed.
+
+        `J[0]` is the code of the whole grid, n(base).  D_r = n - J_r has no
+        borrows, since each coefficient of J_r is at most n's, and
+        E_r = D_r - D_{r-1} = J_{r-1} - J_r; no Poly arithmetic is done.
+        """
+        J = self.J
+        return J, [J[0] - code for code in J], list(map(operator.sub, J, J[1:]))
+
+    @functools.cached_property
+    def rows(self):
+        J, D, E = self.codes()
+        E = [None] + [_decode(code, self.base, signed=True) for code in E]
+        return tuple(BoundRow(r, _decode(j, self.base), _decode(d, self.base), e, direction)
+                     for r, (j, d, e, direction)
+                     in enumerate(zip(J, D, E, self.direction_row)))
+
+    def __eq__(self, other):
+        return (isinstance(other, BoundTable)
+                and (self.params, self.rows) == (other.params, other.rows))
 
     def row(self, r) -> BoundRow:
         return self.rows[r]
@@ -149,26 +180,6 @@ class BoundTable:
         return out
 
 
-def _table_from_codes(params, base, best, direction_row):
-    """The table from the largest code of each span K = 0..k, in `base`.
-
-    `best[k]` is the code of the whole grid, n(base).  J_r is `best[k - r]`;
-    D_r = n - J_r has no borrows, since each coefficient of J_r is at most
-    n's, and E_r = D_r - D_{r-1} = J_{r-1} - J_r is decoded signed.  Each
-    printed polynomial is decoded once, and no Poly arithmetic is done.
-    """
-    k = params.k
-    n = best[k]
-    rows = []
-    prev_J = None
-    for r, direction in enumerate(direction_row):
-        J = best[k - r]
-        E = None if r == 0 else _decode(prev_J - J, base, signed=True)
-        rows.append(BoundRow(r, _decode(J, base), _decode(n - J, base), E, direction))
-        prev_J = J
-    return BoundTable(params, tuple(rows))
-
-
 def bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:
     """J_r / D_r / E_r for r = 0..k.
 
@@ -181,17 +192,17 @@ def bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:
     if params.l == 2:
         base = _l2_base(params.m)
         best, direction_row = zip(*_l2_best(params.m, base))
-        return _table_from_codes(params, base, best, direction_row[::-1])
+        return BoundTable._from_codes(params, base, best[::-1], direction_row[::-1])
     return exhaustive_bound_table(params, guard)
 
 
 def union_table(params, guard=DEFAULT_IDEAL_GUARD):
-    """The grid, and every order ideal in table order, grouped by g_U.
+    """The grid, its code base, and every order ideal in table order, grouped by g_U.
 
-    A group is (span, g_U, whether g_U is its span's largest, the maxima of
-    its ideals as grid indices).  Ideals sort by span, g_U and maxima, all as
-    integers (codes as in `grassgrid._walk`); g_U(1) is the span, so ideals
-    with equal codes are adjacent and one Poly is decoded per group.
+    A group is (span, the code of g_U, whether g_U is its span's largest, the
+    maxima of its ideals as grid indices).  Ideals sort by span, code and
+    maxima, all as integers (codes as in `grassgrid._walk`); g_U(1) is the
+    span, so ideals with equal codes are adjacent, one group each.
     """
     grid = _guarded_grid(params, guard)
     base = _grid_base(grid)
@@ -203,7 +214,7 @@ def union_table(params, guard=DEFAULT_IDEAL_GUARD):
     best = [0] * (len(grid) + 1)
     for K, g, _run in runs:
         best[K] = g
-    return grid, [(K, _decode(g, base), g == best[K], run) for K, g, run in runs]
+    return grid, base, [(K, g, g == best[K], run) for K, g, run in runs]
 
 
 def exhaustive_bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:
@@ -215,8 +226,8 @@ def exhaustive_bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:
     """
     grid = _guarded_grid(params, guard)
     base = _grid_base(grid)
-    return _table_from_codes(params, base, _span_maxima(grid, base),
-                             [None] * (len(grid) + 1))
+    return BoundTable._from_codes(params, base, _span_maxima(grid, base)[::-1],
+                                  (None,) * (len(grid) + 1))
 
 
 def cardinality(point) -> int:

@@ -431,6 +431,39 @@ def test_experiment_q8_golden(capsys):
                    '"negative (witness K=22)", "detail": [22, 23]}\n')
 
 
+@pytest.mark.parametrize("flags,verdict,detail", [
+    ("experiment Q8 --l 3 --m 7 --guard 35", "negative (witness K=17)", [17, 18]),
+    ("experiment Q9 --l 3 --m 7 --guard 35", "negative (witness r=[17, 18, 19])", [17, 18, 19]),
+    ("experiment Q8 --l 2 --m 10 --guard 45", "negative (witness K=22)", [22, 23]),
+    ("experiment Q9 --l 2 --m 10 --guard 45", "negative (witness r=[22, 23, 24])", [22, 23, 24]),
+])
+def test_experiment_negative_verdicts(capsys, flags, verdict, detail):
+    argv = flags.split()
+    l, m = argv[3], argv[5]
+    assert run_cli(argv, capsys) == (0, f"{argv[1]} for ({l},{m}): {verdict}\n", "")
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0 and json.loads(out) == {"question": argv[1], "l": int(l), "m": int(m),
+                                             "verdict": verdict, "detail": detail}
+
+
+@pytest.mark.parametrize("question", ["Q3", "Q8", "Q9"])
+@pytest.mark.parametrize("q,message", [
+    ("6", "error: q=6 is not a prime power\n"),
+    ("512", "error: q=512 is above 256, the largest supported field\n"),
+])
+def test_experiment_refuses_bad_q(capsys, question, q, message):
+    # the questions that do not read q refuse a bad one as Q4 and weights do
+    argv = ["experiment", question, "--l", "2", "--m", "4", "--q", q]
+    assert run_cli(argv, capsys) == (2, "", message)
+
+
+@pytest.mark.parametrize("question", ["Q3", "Q8", "Q9"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_experiment_valid_q_keeps_bytes(capsys, question, fmt):
+    argv = ["experiment", question, "--l", "2", "--m", "5", "--format", fmt]
+    assert run_cli([*argv, "--q", "4"], capsys) == run_cli(argv, capsys)
+
+
 def test_missing_config_exit_code(capsys, tmp_path):
     code, out, err = run_cli(["enumerate", "--l", "2", "--m", "5", "--config",
                               str(tmp_path / "missing.json")], capsys)
@@ -666,6 +699,75 @@ def test_cli_golden(capsys, flags, fmt):
         CLI_GOLDEN[flags][FORMATS.index(fmt)]
 
 
+# sha256 of stdout in markdown, csv and json (in FORMATS order), recorded
+# while every polynomial cell was a decoded Poly's str() or to_list(); the
+# l=2 tables past the benchmark replay's G(2,28), and the exhaustive tables
+TABLE_GOLDEN = {
+    "bounds --l 2 --m 100": (
+        "023a1bdcfdcaa549a1a73a86232ad03b12afb9f1c4fec4d102f4f58fe47dcb53",
+        "b1de7b412207d68cd6486f6218b875b1707fed3a25f252d45e13d770f58f0963",
+        "88df5855d8045bd5123e31f233ee8bbaaec2a9fc3472ac53654a6b8c1578ad66",
+    ),
+    "bounds --l 3 --m 9 --guard 100": (
+        "c23602d8b9262c2c8c9e1f3ae71a05419e8d795223c650faeff604fac9266577",
+        "bb2b7c9e9f6a06c7240a69d9cc339002eb0f19fbdc300a8e68f9dc9cc803e74c",
+        "236891b3d1aa6304c3c640afd535e798e9d7ae102539f9b04a46eae282256742",
+    ),
+    "bounds --l 4 --m 8 --guard 70": (
+        "83cd2f6ed6e2cf3ac7e3e9a8376afa3f197371ec26980fbfe81ce5b417a97264",
+        "b2c783ab0df722d6ea61cc650bd54817bd7c600c984a47fb6730f5b4ae88ffa1",
+        "45b53437cf9a2f6918196b76ea2bbd96ca7738046cd952d15e610ef4cd6d7ed9",
+    ),
+    "enumerate --l 4 --m 8 --guard 70": (
+        "e3ae7b9f7a0ffb7f47a01d670300f4b98a3b1703bea19ce1b6e211a788d06593",
+        "dbc6c6967e8d4d901f26b6bc6dc818b5a12a5624b44715cf5ad949c6eacf51c0",
+        "546f08632355e54756f5c6910de166bacf661fb36ad4dcb0ce8cc5c9f9d777f5",
+    ),
+}
+# the same, over the stdout of `bounds --l 2 --m M` for M = 29..60 in turn
+L2_BOUNDS_29_60 = (
+    "2152c6f16ef994bf838a98be1895f0cc86fcb70109ca6e4d8172800bcf04bfb1",
+    "0d70b8133b2f6ebfa110aa47896ca64fe60f3f99206a1f95a38fc44ab3c32587",
+    "34b54c0909685f57f7bc9feb609625185e07fb82a2d174faf028532cec54d72e",
+)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("flags", list(TABLE_GOLDEN))
+def test_table_golden(monkeypatch, flags, fmt):
+    code, raw = stdout_bytes(monkeypatch, [*flags.split(), "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(raw).hexdigest() == TABLE_GOLDEN[flags][FORMATS.index(fmt)]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_l2_bounds_golden_past_replay(monkeypatch, fmt):
+    digest = hashlib.sha256()
+    for m in range(29, 61):
+        code, raw = stdout_bytes(monkeypatch, ["bounds", "--l", "2", "--m", str(m),
+                                               "--format", fmt])
+        assert code == 0
+        digest.update(raw)
+    assert digest.hexdigest() == L2_BOUNDS_29_60[FORMATS.index(fmt)]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("flags", [
+    "bounds --l 2 --m 12", "bounds --l 3 --m 6", "enumerate --l 2 --m 6",
+    "enumerate --l 3 --m 6", "experiment Q8 --l 2 --m 7", "experiment Q9 --l 2 --m 12",
+    "experiment Q8 --l 3 --m 6", "experiment Q9 --l 3 --m 6",
+])
+def test_tables_build_no_poly(capsys, monkeypatch, flags, fmt):
+    # the tables are written from codes: a Poly on their path fails here
+    argv = [*flags.split(), "--format", fmt]
+    want = run_cli(argv, capsys)
+
+    def refuse(self, coeffs=()):
+        raise AssertionError("a Poly was built")
+    monkeypatch.setattr(grassgrid.Poly, "__init__", refuse)
+    assert want[0] == 0 and run_cli(argv, capsys) == want
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--l", "2", "--m", "5"],
     ["weights", "--l", "2", "--m", "5", "--q", "2", "--union", "[[1,5],[2,3]]",
@@ -752,7 +854,8 @@ def reference_enumerate(params, fmt):
     for u in unions:
         g = u.point_count()
         m_u = (cli._mset_str(twodim.union_to_mset(u).elements),) if params.l == 2 else ()
-        rows.append((u.label(), u.span(), u.krull(), *m_u, g,
+        # JSON carries a polynomial as its coefficient list
+        rows.append((u.label(), u.span(), u.krull(), *m_u, g.to_list() if fmt == "json" else g,
                      "Yes" if g == best[u.span()] else "No"))
     headers = ["U", "Span", "Krull", "M_U", "Points", "Maximal"] if params.l == 2 \
         else ["U", "Span", "Krull", "Points", "Maximal"]

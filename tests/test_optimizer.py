@@ -5,7 +5,9 @@ from schubert_unions.grassgrid import (
     GrassParams,
     Poly,
     SchubertUnion,
+    _code_texts,
     _decode,
+    _digits,
     canonicalize,
     cell_count,
     down_sets,
@@ -152,8 +154,9 @@ def reference_optimal_unions(params, guard):
 def optimal_unions(params, guard):
     """span -> (lex-max g_U, set of unions attaining it), read off the
     maximal groups of `union_table`."""
-    grid, groups = union_table(params, guard)
-    return {K: (g, {SchubertUnion(params, [grid[i] for i in maxima]) for maxima in group})
+    grid, base, groups = union_table(params, guard)
+    return {K: (_decode(g, base), {SchubertUnion(params, [grid[i] for i in maxima])
+                                   for maxima in group})
             for K, g, maximal, group in groups if maximal}
 
 
@@ -241,6 +244,20 @@ def test_exhaustive_bound_table_matches_poly_reference(params):
             best[len(pts)] = g
     assert exhaustive_bound_table(params, guard=params.k) == \
         reference_table_from_best(params, [(J, None) for J in best])
+
+
+@pytest.mark.parametrize("params", [GrassParams(2, m) for m in range(3, 41)]
+                         + [GrassParams(3, m) for m in range(6, 9)] + [GrassParams(4, 8)],
+                         ids=repr)
+def test_table_texts_match_decode(params):
+    # every J, D and E code that `bounds` prints, written and listed straight
+    # from the code, against the decoded Poly
+    table = bound_table(params, guard=params.k)
+    for codes, signed in zip(table.codes(), (False, False, True)):
+        polys = [_decode(code, table.base, signed) for code in codes]
+        assert _code_texts(codes, table.base, signed) == list(map(str, polys))
+        assert [_digits(code, table.base, signed).tolist() for code in codes] == \
+            [p.to_list() for p in polys]
 
 
 def test_bound_table_matches_exhaustive():
