@@ -5,9 +5,11 @@ K is attained by one of two candidates: fill columns from the left, or fill
 rows from the bottom.  The per-codimension maxima J_r give the upper bound
 table D_r = n - J_r, E_r = D_r - D_{r-1} for the weight hierarchy.  The
 largest Krull dimension reachable with span K is the largest d with
-C(d) <= K for an explicit piecewise quadratic C.  The tables hold integer
-codes (`grassgrid._walk`): the CLI writes its cells from them, and Polys are
-decoded only for a library caller that reads a table's rows.
+C(d) <= K for an explicit piecewise quadratic C.  A table is its integer
+codes (`grassgrid._walk`): the CLI and `weights` read them, and Polys are
+decoded only for a library caller that reads a table's rows.  The l=2 codes
+are streamed cell by cell: `directions` holds one running code per fill
+order, not k + 1 of them.
 """
 
 from __future__ import annotations
@@ -95,17 +97,14 @@ def _l2_base(m):
 
 
 def _running_codes(m, fill, base):
-    """g(base) of the first K cells of a fill order of G(2,m), for K = 0..k.
+    """g(base) of the first K cells of a fill order of G(2,m), for K = 0..k, streamed.
 
-    With `base` from `_l2_base`, `_decode(code, base)` is g.
+    With `base` from `_l2_base`, `_decode(code, base)` is g.  Each step is
+    one of the 2m - 3 powers of `base`, so the running sum is the only new
+    code at each K.
     """
     cells = [base ** d for d in range(2 * m - 3)]
-    g = 0
-    out = [g]
-    for x, y in fill(m):
-        g += cells[x + y - 3]
-        out.append(g)
-    return out
+    return itertools.accumulate([cells[x + y - 3] for x, y in fill(m)], initial=0)
 
 
 def _l2_best(m, base):
@@ -128,22 +127,15 @@ BoundRow = namedtuple("BoundRow", "r J D E direction")
 
 
 class BoundTable:
-    """J_r / D_r / E_r for r = 0..k, as BoundRows.
+    """J_r / D_r / E_r for r = 0..k: the codes of J_0..J_k in `base`.
 
-    A table from `bound_table` or `exhaustive_bound_table` holds the codes of
-    J_0..J_k in `base` (see `grassgrid._walk`) and the direction row; its
-    rows are decoded from them when `rows` is first read.
+    `base` is as in `grassgrid._walk`, and `direction_row` holds the l=2
+    direction of each r, else None.  `codes()` gives D and E as codes too;
+    the BoundRows of Polys are decoded when `rows` is first read.
     """
 
-    def __init__(self, params, rows):
-        self.params = params
-        self.rows = tuple(rows)
-
-    @classmethod
-    def _from_codes(cls, params, base, J, direction_row):
-        table = object.__new__(cls)
-        table.params, table.base, table.J, table.direction_row = params, base, J, direction_row
-        return table
+    def __init__(self, params, base, J, direction_row):
+        self.params, self.base, self.J, self.direction_row = params, base, J, direction_row
 
     def codes(self):
         """The codes of J, D and E in `base`; E, for r = 1..k, is signed.
@@ -192,7 +184,7 @@ def bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:
     if params.l == 2:
         base = _l2_base(params.m)
         best, direction_row = zip(*_l2_best(params.m, base))
-        return BoundTable._from_codes(params, base, best[::-1], direction_row[::-1])
+        return BoundTable(params, base, best[::-1], direction_row[::-1])
     return exhaustive_bound_table(params, guard)
 
 
@@ -226,8 +218,7 @@ def exhaustive_bound_table(params, guard=DEFAULT_IDEAL_GUARD) -> BoundTable:
     """
     grid = _guarded_grid(params, guard)
     base = _grid_base(grid)
-    return BoundTable._from_codes(params, base, _span_maxima(grid, base)[::-1],
-                                  (None,) * (len(grid) + 1))
+    return BoundTable(params, base, _span_maxima(grid, base)[::-1], (None,) * (len(grid) + 1))
 
 
 def cardinality(point) -> int:

@@ -33,6 +33,7 @@ from .grassgrid import (
     GrassParams,
     Poly,
     TooLarge,
+    _decode,
     _span_maxima,
     cell_dimension,
     count_text,
@@ -152,10 +153,12 @@ def griesmer_lower_poly(params, r) -> Poly:
 def weight_table(params, q=None, guard=DEFAULT_IDEAL_GUARD):
     """WeightRecords for C(l,m), r = 1..k; intervals where d_r is open.
 
-    Symbolic rows when q is None, evaluated integers otherwise.
+    Symbolic rows when q is None, evaluated integers otherwise.  D_r is read
+    from the bound table's codes and decoded only on the rows left open.
     """
     # the guarded table first: the tail formulas need the whole grid's g
     table = bound_table(params, guard)
+    _J, D, _E = table.codes()
     known = known_dr(params)
     records = []
     for r in range(1, params.k + 1):
@@ -164,7 +167,7 @@ def weight_table(params, q=None, guard=DEFAULT_IDEAL_GUARD):
             records.append(WeightRecord(r, p if q is None else p(q), source=source))
         else:
             lo = griesmer_lower_poly(params, r)
-            hi = table.row(r).D
+            hi = _decode(D[r], table.base)
             records.append(WeightRecord(
                 r, None,
                 lower=lo if q is None else lo(q),

@@ -768,6 +768,22 @@ def test_tables_build_no_poly(capsys, monkeypatch, flags, fmt):
     assert want[0] == 0 and run_cli(argv, capsys) == want
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("flags", [
+    "weights --l 2 --m 12", "weights --l 2 --m 12 --q 3",
+    "weights --l 3 --m 6 --guard 20", "weights --l 3 --m 6 --guard 20 --q 3",
+])
+def test_weights_reads_bound_codes(capsys, monkeypatch, flags, fmt):
+    # `weights` reads D from the table's codes: its BoundRows are never built
+    argv = [*flags.split(), "--format", fmt]
+    want = run_cli(argv, capsys)
+
+    def refuse(self):
+        raise AssertionError("a BoundRow was read")
+    monkeypatch.setattr(optimizer.BoundTable, "rows", property(refuse))
+    assert want[0] == 0 and run_cli(argv, capsys) == want
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--l", "2", "--m", "5"],
     ["weights", "--l", "2", "--m", "5", "--q", "2", "--union", "[[1,5],[2,3]]",

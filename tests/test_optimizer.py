@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from schubert_unions import duality, grassgrid
@@ -130,6 +132,20 @@ def test_l2_base_reads_the_largest_cell_count():
     assert (_l2_base(254), _l2_base(255), _l2_base(256)) == (2**8, 2**8, 2**16)
 
 
+def test_directions_keep_no_list_of_codes():
+    # the running codes stream: a list of the k + 1 codes of each fill order
+    # peaks at about 13 MB on G(2,200), and the streamed row below 2 MB
+    params = GrassParams(2, 200)
+    tracemalloc.start()
+    try:
+        row = directions(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(row) == params.k + 1
+    assert peak < 6 << 20, peak
+
+
 def test_directions_match_bound_table():
     for m in range(3, 31):
         p = GrassParams(2, m)
@@ -199,8 +215,8 @@ def test_bound_table_monotone_and_edges():
 
 
 def reference_table_from_best(params, best_by_span):
-    """The table as it was built before it was read from codes: D = n - J
-    and E = D_r - D_{r-1} in Poly arithmetic."""
+    """The table's rows as they were built before they were read from codes:
+    D = n - J and E = D_r - D_{r-1} in Poly arithmetic."""
     k = params.k
     n = grand_total(params)
     rows = []
@@ -211,7 +227,24 @@ def reference_table_from_best(params, best_by_span):
         E = None if r == 0 else D - prev_D
         rows.append(BoundRow(r, J, D, E, direction))
         prev_D = D
-    return BoundTable(params, tuple(rows))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("params", [GrassParams(2, m) for m in range(3, 41)]
+                         + [GrassParams(3, m) for m in range(6, 9)] + [GrassParams(4, 8)],
+                         ids=repr)
+def test_bound_table_constructor_round_trips(params):
+    # the one constructor takes the fields a table holds and gives it back
+    table = (bound_table if params.l == 2 else exhaustive_bound_table)(params, guard=params.k)
+    copy = BoundTable(table.params, table.base, table.J, table.direction_row)
+    assert copy == table
+    assert copy.codes() == table.codes()
+
+
+def test_bound_table_takes_no_rows():
+    table = bound_table(GrassParams(2, 5))
+    with pytest.raises(TypeError):
+        BoundTable(table.params, table.rows)
 
 
 def running_polys(m, fill):
@@ -231,7 +264,7 @@ def test_bound_table_matches_poly_reference(m):
     for left, right in zip(running_polys(m, _column_fill), running_polys(m, _row_fill)):
         direction = "L" if left > right else "R" if left < right else "LR"
         best.append((right if direction == "R" else left, direction))
-    assert bound_table(params) == reference_table_from_best(params, best)
+    assert bound_table(params).rows == reference_table_from_best(params, best)
 
 
 @pytest.mark.parametrize("params", [GrassParams(3, m) for m in range(6, 10)]
@@ -242,7 +275,7 @@ def test_exhaustive_bound_table_matches_poly_reference(params):
         g = cell_count(pts, params.l)
         if best[len(pts)] is None or g > best[len(pts)]:
             best[len(pts)] = g
-    assert exhaustive_bound_table(params, guard=params.k) == \
+    assert exhaustive_bound_table(params, guard=params.k).rows == \
         reference_table_from_best(params, [(J, None) for J in best])
 
 
@@ -382,16 +415,14 @@ def test_krull_dK_exhaustive():
             assert krull_dK(params, K) == running, (m, K)
 
 
-def test_threshold_report_consistency():
-    for m in (7, 9, 10):
-        params = GrassParams(2, m)
-        report = threshold_report(params)
-        for row in report:
-            direction = best_union(params, row["K"])[1]
-            if row["regime"] == "right":
-                assert direction in ("R", "LR"), row
-            elif row["regime"] == "left":
-                assert direction in ("L", "LR"), row
+@pytest.mark.parametrize("m", range(3, 61))
+def test_threshold_report_consistency(m):
+    # the threshold theorem: regime right allows only R/LR, left only L/LR
+    params = GrassParams(2, m)
+    by_codim = directions(params)
+    allowed = {"right": ("R", "LR"), "left": ("L", "LR"), "undetermined": ("L", "R", "LR")}
+    for row in threshold_report(params):
+        assert by_codim[params.k - row["K"]] in allowed[row["regime"]], row
 
 
 def test_threshold_report_forced_right_large_m():
